@@ -1,0 +1,18 @@
+//! Records the compiler version and target for the machine fingerprint
+//! printed with every result.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |v| v.trim().to_owned());
+    let target = std::env::var("TARGET").unwrap_or_else(|_| "unknown".to_owned());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_TARGET={target}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
