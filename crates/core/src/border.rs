@@ -25,7 +25,6 @@ use crate::pixel::Pixel;
 
 /// Policy for out-of-frame neighbourhood accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BorderPolicy {
     /// Replicate the nearest edge pixel (the hardware's behaviour: the IIM
     /// simply re-delivers the boundary line).

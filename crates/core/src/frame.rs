@@ -24,7 +24,6 @@ use crate::pixel::{Channel, Pixel};
 
 /// A row-major frame of [`Pixel`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     dims: Dims,
     data: Vec<Pixel>,

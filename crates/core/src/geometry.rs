@@ -15,7 +15,6 @@ use core::fmt;
 
 /// Width × height of a frame, in pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dims {
     /// Frame width in pixels.
     pub width: usize,
@@ -114,7 +113,6 @@ impl From<(usize, usize)> for Dims {
 /// A pixel position. Signed so that neighbourhood offsets can step outside
 /// the frame before a border policy resolves them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (column).
     pub x: i32,
@@ -181,7 +179,6 @@ impl core::ops::Sub for Point {
 
 /// An axis-aligned rectangle of pixels, anchored at `(x, y)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Left edge.
     pub x: i32,
@@ -247,7 +244,6 @@ impl fmt::Display for Rect {
 /// The ZBT memory of the prototype board is sized to hold *two input and one
 /// output image* of either format (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ImageFormat {
     /// 176 × 144 pixels, ≈ 200 kB at 64 bit/pixel.
     Qcif,

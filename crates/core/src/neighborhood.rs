@@ -33,7 +33,6 @@ pub const MAX_LINES: usize = 2 * MAX_RADIUS + 1;
 
 /// Named neighbourhood shapes of the AddressLib.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Connectivity {
     /// The pixel itself only (`CON_0` in Table 2).
     Con0,

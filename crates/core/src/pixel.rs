@@ -39,7 +39,6 @@ use core::fmt;
 /// assert_eq!((grey.u, grey.v), (128, 128));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pixel {
     /// Luminance channel (8 bit).
     pub y: u8,
@@ -227,7 +226,6 @@ impl From<Pixel> for u64 {
 /// assert_eq!(p.channel(Channel::V), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Channel {
     /// Luminance.
     Y,
@@ -309,7 +307,6 @@ impl fmt::Display for Channel {
 /// assert_eq!(yuv.len(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelSet(u8);
 
 impl ChannelSet {

@@ -23,7 +23,6 @@ use crate::geometry::{Dims, Point};
 
 /// Direction in which an image is swept pixel by pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScanOrder {
     /// Left-to-right within a line, lines top-to-bottom (the common case;
     /// horizontal strips).
@@ -153,7 +152,6 @@ pub fn scan_points(dims: Dims, order: ScanOrder) -> ScanPoints {
 /// is sixteen lines, as the maximum range of input data required to process
 /// one pixel is nine lines"* (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Strip {
     /// Index of the strip within the frame (0-based).
     pub index: usize,

@@ -23,7 +23,6 @@ use std::time::Duration;
 
 /// A cycle count within one clock domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycles(pub u64);
 
 impl Cycles {
@@ -83,7 +82,6 @@ impl fmt::Display for Cycles {
 
 /// A clock domain with a fixed frequency.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct ClockDomain {
     /// Frequency in hertz.
     pub hz: f64,

@@ -6,11 +6,11 @@ use crate::error::{EngineError, EngineResult};
 
 /// How faithfully calls are simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimulationFidelity {
-    /// Cycle-stepped simulation: pixels flow through ZBT → IIM → matrix
+    /// Cycle-level simulation: pixels flow through ZBT → IIM → matrix
     /// register → Process Unit pipeline → OIM → ZBT, with per-cycle stage
-    /// occupancy. Use for small frames, verification and the fig. 5 trace.
+    /// occupancy. Runs the event-driven datapath of [`crate::fast`]. Use
+    /// for verification, attribution and the fig. 5 trace.
     Detailed,
     /// Analytic cycle counts derived from the same architectural
     /// parameters, validated against [`SimulationFidelity::Detailed`] on
@@ -21,28 +21,8 @@ pub enum SimulationFidelity {
     Analytic,
 }
 
-/// How the detailed simulator advances its cycle counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum StepMode {
-    /// Tick every engine cycle, modelling each stage each cycle. Always
-    /// used when a trace recorder is attached (per-cycle spans need the
-    /// per-cycle loop) and by the equivalence tests as the reference.
-    CycleStepped,
-    /// Event-driven fast-forward: subsystems report their next-activity
-    /// cycle and the stepping loop jumps the clock to the earliest one
-    /// instead of ticking idle cycles, while the per-pixel datapath work
-    /// is replayed from the software addressing model. Produces
-    /// bit-identical [`crate::ProcessingStats`], ZBT bank statistics and
-    /// schedule instants to [`StepMode::CycleStepped`] (asserted by
-    /// `tests/fast_forward_equivalence.rs`).
-    #[default]
-    FastForward,
-}
-
 /// Behaviour of inter calls with respect to transfer/processing overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InterOverlap {
     /// Strips of both input frames are interleaved on the PCI bus so that
     /// processing starts as soon as the first strip pair is resident.
@@ -56,7 +36,6 @@ pub enum InterOverlap {
 
 /// Architectural configuration of the simulated AddressEngine.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))] // &'static str names: no Deserialize
 pub struct EngineConfig {
     /// PCI bus clock (prototype: 66 MHz, 32 bit).
     pub pci_clock: ClockDomain,
@@ -104,8 +83,6 @@ pub struct EngineConfig {
     pub inter_overlap: InterOverlap,
     /// Simulation fidelity.
     pub fidelity: SimulationFidelity,
-    /// Cycle-stepping strategy for [`SimulationFidelity::Detailed`] runs.
-    pub step_mode: StepMode,
     /// Whether the engine accepts segment-addressing calls. `false` for
     /// the v1 prototype (*"Segment addressing is planned for future
     /// versions"*, §6); enable to model the §5 outlook extension.
@@ -134,12 +111,11 @@ impl EngineConfig {
             output_latency_fraction: 0.25,
             inter_overlap: InterOverlap::Sequential,
             fidelity: SimulationFidelity::Analytic,
-            step_mode: StepMode::FastForward,
             segment_capable: false,
         }
     }
 
-    /// Prototype configuration with cycle-stepped simulation.
+    /// Prototype configuration with detailed (cycle-level) simulation.
     #[must_use]
     pub fn prototype_detailed() -> Self {
         EngineConfig {

@@ -34,7 +34,6 @@ use crate::pci::{Direction, PciBus, Transfer};
 
 /// Which double-buffer block a strip lands in (§3.1's block_A/block_B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StripBlock {
     /// The first alternating input block.
     BlockA,
@@ -44,7 +43,6 @@ pub enum StripBlock {
 
 /// One scheduled strip transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StripTransfer {
     /// Strip index within its image.
     pub strip: usize,

@@ -1,8 +1,11 @@
-//! Event-driven fast-forward datapath ([`StepMode::FastForward`]).
+//! Event-driven datapath of the detailed simulator.
 //!
-//! The cycle-stepped loops in [`crate::process_unit`] model every stage
-//! every cycle; most of that per-cycle work is structurally determined.
-//! The key observation is that [`ProcessingStats`] is *data-independent*:
+//! [`crate::engine::AddressEngine`] runs every
+//! [`SimulationFidelity::Detailed`] call through this module. The
+//! cycle-stepped loops in [`crate::process_unit`] model every stage every
+//! cycle and remain the reference these loops are tested against; most
+//! of that per-cycle work is structurally determined. The key
+//! observation is that [`ProcessingStats`] is *data-independent*:
 //! cycles, stalls, matrix instructions and OIM occupancy depend only on
 //! the frame geometry, window shape and IIM/OIM/drain parameters — while
 //! the produced pixels are, by the engine's own bit-exactness guarantee,
@@ -25,26 +28,30 @@
 //!    comparisons; the sweep produces pixels in index order, so the OIM
 //!    FIFO always holds the contiguous range `[popped, pushed)` and
 //!    becomes a pair of counters.
-//! 3. **Event-driven fast-forward** — each subsystem reports its
-//!    next-activity cycle ([`crate::oim::Oim::next_event`] for the drain
-//!    port, [`crate::iim::Iim::next_event`] for the fill path, the
-//!    pipeline-slot analysis below for the Process Unit); when the
-//!    earliest event lies beyond `now + 1` the clock jumps straight to
-//!    it, accumulating the per-cycle stall counters the stepped loop
-//!    would have recorded on the skipped cycles. While the Process Unit
-//!    is active the earliest event is always `now + 1`, so the query is
-//!    only evaluated on idle cycles — the steady-state path pays nothing
-//!    for it. When no subsystem reports any future event the run can
-//!    never finish; the loop reports the same
-//!    [`EngineError::PipelineHazard`] the stepped simulator's cycle
-//!    bound would eventually trip.
+//! 3. **Event-driven fast-forward** — while the Process Unit is inactive
+//!    the loop computes the next cycle on which the OIM drain port or the
+//!    transmission unit acts and jumps the clock straight to it,
+//!    accumulating the per-cycle stall counters the stepped loop would
+//!    have recorded on the skipped cycles. While the Process Unit is
+//!    active the earliest event is always `now + 1`, so the query is only
+//!    evaluated on idle cycles — the steady-state path pays nothing for
+//!    it. When no subsystem acts again before the stepped loop's cycle
+//!    bound, the run can never finish; the loop reports the same
+//!    [`EngineError::PipelineHazard`] the bound would trip.
+//! 4. **Probe events** — given an enabled [`PuProbe`], the loops emit the
+//!    stepped reference's line-fill, line-sweep, stall-run, OIM occupancy
+//!    and processing events with the same timestamps, arguments and
+//!    order. They derive from transitions the skeleton already computes:
+//!    a skipped stretch has a single stall cause and a constant OIM
+//!    occupancy, so it takes one stall-run step at its first cycle plus
+//!    one occupancy sample per `width`-multiple it jumps over.
 //!
 //! Equivalence — bit-identical [`ProcessingStats`] (including the fig. 5
-//! stage trace), ZBT bank statistics, result pixels and error verdicts
-//! against the cycle-stepped reference — is asserted across seeded
-//! configurations by `tests/fast_forward_equivalence.rs`.
+//! stage trace), ZBT bank statistics, result pixels, error verdicts and
+//! probe events against the cycle-stepped reference — is asserted across
+//! seeded configurations by `tests/fast_forward_equivalence.rs`.
 //!
-//! [`StepMode::FastForward`]: crate::config::StepMode::FastForward
+//! [`SimulationFidelity::Detailed`]: crate::config::SimulationFidelity::Detailed
 
 use vip_core::addressing::intra::IntraOptions;
 use vip_core::border::BorderPolicy;
@@ -52,16 +59,102 @@ use vip_core::frame::Frame;
 use vip_core::geometry::{Dims, Point};
 use vip_core::ops::{InterOp, IntraOp};
 use vip_core::scan::ScanOrder;
+use vip_obs::Track;
 
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::plc::{ControlFsm, FetchKind, StageSnapshot};
-use crate::process_unit::ProcessingStats;
+use crate::process_unit::{emit_processing_span, emit_sweep, ProcessingStats, PuProbe, StallRuns};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
-/// Fast-forward equivalent of
-/// [`crate::process_unit::run_intra_detailed`]: identical statistics,
-/// ZBT traffic and result pixels, a fraction of the simulated work.
+/// The probe side of one run: replays the stepped loop's event emission
+/// from the transitions the fast loop computes. The loops read
+/// `probe.is_enabled()` once into a local and call none of this when it
+/// is false, so an unrecorded run pays one test of that local per site.
+struct Events<'a> {
+    probe: &'a PuProbe,
+    stall_runs: StallRuns<'a>,
+    /// Cycle the line currently being filled started.
+    fill_start: u64,
+    /// Line being swept and the cycle its first pixel issued.
+    sweep: Option<(i32, u64)>,
+    /// OIM occupancy is sampled on every multiple of the frame width.
+    occupancy_every: u64,
+}
+
+impl<'a> Events<'a> {
+    fn new(probe: &'a PuProbe, dims: Dims) -> Self {
+        Events {
+            probe,
+            stall_runs: StallRuns::new(probe),
+            fill_start: 0,
+            sweep: None,
+            occupancy_every: dims.width.max(1) as u64,
+        }
+    }
+
+    /// The transmission unit read the first pixel of a line.
+    fn fill_started(&mut self, cycle: u64) {
+        self.fill_start = cycle;
+    }
+
+    /// The transmission unit read the last pixel of `line`.
+    fn line_filled(&self, line: usize, cycle: u64) {
+        self.probe.recorder.span(
+            Track::Iim,
+            "line_fill",
+            self.probe.ts(self.fill_start),
+            self.probe.ts(cycle),
+            &[("line", (line as u64).into())],
+        );
+    }
+
+    /// Stage 1 issued a pixel on line `y`.
+    fn issue(&mut self, cycle: u64, y: i32) {
+        match self.sweep {
+            Some((line, start)) if line != y => {
+                emit_sweep(self.probe, line, start, cycle);
+                self.sweep = Some((y, cycle));
+            }
+            None => self.sweep = Some((y, cycle)),
+            Some(_) => {}
+        }
+    }
+
+    /// The cycles `from..=to`, which all end with the same stall state
+    /// and OIM occupancy: one stall-run step at the first, one occupancy
+    /// sample per multiple of the frame width.
+    fn cycles(&mut self, from: u64, to: u64, stalled: Option<&'static str>, occupancy: usize) {
+        if from > to {
+            return;
+        }
+        self.stall_runs.step(from, stalled);
+        let mut cycle = from.div_ceil(self.occupancy_every) * self.occupancy_every;
+        while cycle <= to {
+            self.probe.recorder.counter(
+                Track::Oim,
+                "occupancy",
+                self.probe.ts(cycle),
+                occupancy as f64,
+            );
+            cycle += self.occupancy_every;
+        }
+    }
+
+    /// Closes the open stall run and sweep and emits the processing span.
+    fn finish(&mut self, cycles: u64, stats: &ProcessingStats, pixels: usize) {
+        self.stall_runs.flush(cycles);
+        if let Some((line, start)) = self.sweep {
+            emit_sweep(self.probe, line, start, cycles);
+        }
+        emit_processing_span(self.probe, cycles, stats, pixels);
+    }
+}
+
+/// Runs the processing phase of an intra call: identical statistics, ZBT
+/// traffic, result pixels and probe events to
+/// [`crate::process_unit::run_intra_detailed_probed`], a fraction of the
+/// simulated work.
 ///
 /// # Errors
 ///
@@ -75,6 +168,7 @@ pub fn run_intra_fast<O: IntraOp>(
     border: BorderPolicy,
     config: &EngineConfig,
     trace_limit: usize,
+    probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
     let radius = op.shape().radius();
@@ -123,6 +217,8 @@ pub fn run_intra_fast<O: IntraOp>(
     let mut fsm = ControlFsm::new(dims, ScanOrder::RowMajor);
     let mut stats = ProcessingStats::default();
     let mut matrix_valid = false;
+    let on = probe.is_enabled();
+    let mut events = Events::new(probe, dims);
 
     // Transmission-unit position (the line data itself lives in `input`,
     // and the residency mirror above tracks what would be loaded).
@@ -167,33 +263,40 @@ pub fn run_intra_fast<O: IntraOp>(
         // still recording) that is always `cycles + 1`, so the query only
         // runs on idle cycles.
         if !pu_active && stats.trace.len() >= trace_limit {
+            // Every cycle until then has the same cause: a blocked
+            // stage 4 stalls on the OIM; otherwise a stuck window fetch
+            // stalls on the IIM; otherwise every slot is empty and the
+            // sweep exhausted — pure drain-tail idle.
+            let (stalled, bucket) = if exec_slot.is_some() {
+                (Some("oim_stall"), &mut stats.oim_stalls)
+            } else if scan_slot.is_some() && fetch_slot.is_none() {
+                (Some("iim_stall"), &mut stats.iim_stalls)
+            } else {
+                (None, &mut stats.idle_cycles)
+            };
+            let occupancy = oim_pushed - oim_popped;
             let drain_event = (oim_pushed > oim_popped)
                 .then(|| cycles + drain_per.saturating_sub(drain_timer).max(1));
             let fill_event = (filling && can_accept).then_some(cycles + 1);
             let target = match [drain_event, fill_event].into_iter().flatten().min() {
-                // No subsystem will ever act again: the stepped loop
+                Some(t) if t <= bound => t,
+                // No subsystem acts again in time: the stepped loop
                 // would stall in place until its cycle bound trips.
-                None => return Err(hazard),
-                Some(t) if t > bound => return Err(hazard),
-                Some(t) => t,
+                _ => {
+                    if on {
+                        events.cycles(cycles + 1, bound, stalled, occupancy);
+                    }
+                    return Err(hazard);
+                }
             };
             let skipped = target - cycles - 1;
             if skipped > 0 {
-                // Replay the stall accounting of the skipped idle cycles:
-                // a blocked stage 4 stalls on the OIM every cycle;
-                // otherwise a stuck window fetch stalls on the IIM every
-                // cycle.
+                if on {
+                    events.cycles(cycles + 1, cycles + skipped, stalled, occupancy);
+                }
                 cycles += skipped;
                 drain_timer += skipped;
-                if exec_slot.is_some() {
-                    stats.oim_stalls += skipped;
-                } else if scan_slot.is_some() && fetch_slot.is_none() {
-                    stats.iim_stalls += skipped;
-                } else {
-                    // Every slot empty and the sweep exhausted: the
-                    // skipped cycles are pure drain-tail idle.
-                    stats.idle_cycles += skipped;
-                }
+                *bucket += skipped;
             }
         }
 
@@ -202,6 +305,7 @@ pub fn run_intra_fast<O: IntraOp>(
         if cycles > bound {
             return Err(hazard);
         }
+        let mut stalled = None;
 
         // Idle classification (same cycle-start predicate as the stepped
         // loop): nothing in flight and nothing left to issue.
@@ -221,8 +325,14 @@ pub fn run_intra_fast<O: IntraOp>(
 
         // Transmission unit: one pixel per cycle into the current line.
         if filling && can_accept {
+            if on && txu_x == 0 {
+                events.fill_started(cycles);
+            }
             txu_x += 1;
             if txu_x == dims.width {
+                if on {
+                    events.line_filled(txu_line, cycles);
+                }
                 txu_line += 1;
                 txu_x = 0;
             }
@@ -238,6 +348,7 @@ pub fn run_intra_fast<O: IntraOp>(
                 exec_slot = None;
             } else {
                 stats.oim_stalls += 1;
+                stalled = Some("oim_stall");
                 advance = false;
             }
         }
@@ -262,12 +373,16 @@ pub fn run_intra_fast<O: IntraOp>(
                     scan_slot = None;
                 } else {
                     stats.iim_stalls += 1;
+                    stalled = Some("iim_stall");
                 }
             }
         }
         // Stage 1: scan — issue the next pixel position.
         if scan_slot.is_none() {
             if let Some((point, bundle)) = fsm.next() {
+                if on {
+                    events.issue(cycles, point.y);
+                }
                 scan_slot = Some((point, bundle.fetch, bundle.pixel_index));
             }
         }
@@ -282,8 +397,14 @@ pub fn run_intra_fast<O: IntraOp>(
                 ],
             });
         }
+        if on {
+            events.cycles(cycles, cycles, stalled, oim_pushed - oim_popped);
+        }
     }
 
+    if on {
+        events.finish(cycles, &stats, total);
+    }
     zbt.write_result_run(0, total, out_pixels)?;
     stats.cycles = cycles;
     stats.pixels = total as u64;
@@ -291,8 +412,9 @@ pub fn run_intra_fast<O: IntraOp>(
     Ok(stats)
 }
 
-/// Fast-forward equivalent of
-/// [`crate::process_unit::run_inter_detailed`].
+/// Runs the processing phase of an inter call: identical statistics, ZBT
+/// traffic, result pixels and probe events to
+/// [`crate::process_unit::run_inter_detailed_probed`].
 ///
 /// # Errors
 ///
@@ -304,6 +426,7 @@ pub fn run_inter_fast<O: InterOp>(
     op: &O,
     config: &EngineConfig,
     trace_limit: usize,
+    probe: &PuProbe,
 ) -> EngineResult<ProcessingStats> {
     let total = dims.pixel_count();
     let drain_per = config.oim_drain_cycles_per_pixel;
@@ -331,6 +454,8 @@ pub fn run_inter_fast<O: InterOp>(
     let mut oim_max = 0usize;
 
     let mut stats = ProcessingStats::default();
+    let on = probe.is_enabled();
+    let mut events = Events::new(probe, dims);
     let mut fetch_slot: Option<usize> = None;
     let mut exec_slot: Option<usize> = None;
     let mut next_pixel = 0usize;
@@ -349,23 +474,33 @@ pub fn run_inter_fast<O: InterOp>(
         // Event query only on idle cycles — an active Process Unit (or a
         // still-recording stage trace) pins the next event to `cycles + 1`.
         if !pu_active && stats.trace.len() >= trace_limit {
+            // A blocked stage 4 stalls on the OIM; otherwise the sweep is
+            // exhausted and the slots empty: drain-tail idle.
+            let (stalled, bucket) = if blocked {
+                (Some("oim_stall"), &mut stats.oim_stalls)
+            } else {
+                (None, &mut stats.idle_cycles)
+            };
+            let occupancy = oim_pushed - oim_popped;
             let drain_event = (oim_pushed > oim_popped)
                 .then(|| cycles + drain_per.saturating_sub(drain_timer).max(1));
             let target = match drain_event {
-                None => return Err(hazard),
-                Some(t) if t > bound => return Err(hazard),
-                Some(t) => t,
+                Some(t) if t <= bound => t,
+                _ => {
+                    if on {
+                        events.cycles(cycles + 1, bound, stalled, occupancy);
+                    }
+                    return Err(hazard);
+                }
             };
             let skipped = target - cycles - 1;
             if skipped > 0 {
+                if on {
+                    events.cycles(cycles + 1, cycles + skipped, stalled, occupancy);
+                }
                 cycles += skipped;
                 drain_timer += skipped;
-                if blocked {
-                    stats.oim_stalls += skipped;
-                } else {
-                    // Sweep exhausted, slots empty: drain-tail idle.
-                    stats.idle_cycles += skipped;
-                }
+                *bucket += skipped;
             }
         }
 
@@ -373,6 +508,7 @@ pub fn run_inter_fast<O: InterOp>(
         if cycles > bound {
             return Err(hazard);
         }
+        let mut stalled = None;
 
         // Idle classification (same cycle-start predicate as the stepped
         // loop): the sweep is exhausted and both slots are empty.
@@ -397,6 +533,7 @@ pub fn run_inter_fast<O: InterOp>(
                 exec_slot = None;
             } else {
                 stats.oim_stalls += 1;
+                stalled = Some("oim_stall");
                 advance = false;
             }
         }
@@ -421,8 +558,14 @@ pub fn run_inter_fast<O: InterOp>(
                 ],
             });
         }
+        if on {
+            events.cycles(cycles, cycles, stalled, oim_pushed - oim_popped);
+        }
     }
 
+    if on {
+        events.finish(cycles, &stats, total);
+    }
     zbt.write_result_run(0, total, &out_pixels)?;
     stats.cycles = cycles;
     stats.pixels = total as u64;
@@ -471,7 +614,15 @@ mod tests {
         let mut zbt_b = ZbtMemory::new(cfg);
         load_input(&mut zbt_b, ZbtRegion::InputA, &frame);
         zbt_b.reset_stats();
-        let fast = run_intra_fast(&mut zbt_b, dims, op, BorderPolicy::Clamp, cfg, trace);
+        let fast = run_intra_fast(
+            &mut zbt_b,
+            dims,
+            op,
+            BorderPolicy::Clamp,
+            cfg,
+            trace,
+            &PuProbe::disabled(),
+        );
         if stepped.is_ok() {
             assert_eq!(
                 zbt_a.pixel_access_cycles(),
@@ -534,7 +685,15 @@ mod tests {
             load_input(&mut zbt_b, ZbtRegion::InputA, &a);
             load_input(&mut zbt_b, ZbtRegion::InputB, &b);
             zbt_b.reset_stats();
-            let fast = run_inter_fast(&mut zbt_b, dims, &AbsDiff::luma(), &cfg, 16).unwrap();
+            let fast = run_inter_fast(
+                &mut zbt_b,
+                dims,
+                &AbsDiff::luma(),
+                &cfg,
+                16,
+                &PuProbe::disabled(),
+            )
+            .unwrap();
             assert_eq!(stepped, fast, "drain = {drain}");
             assert_eq!(zbt_a.pixel_access_cycles(), zbt_b.pixel_access_cycles());
             assert_eq!(read_result(&mut zbt_a, dims), read_result(&mut zbt_b, dims));

@@ -14,9 +14,11 @@
 //! * [`matrix`] — the matrix register with LOAD/SHIFT instructions,
 //! * [`plc`] — the pixel-level controller (control FSM, arbiter,
 //!   start-pipeline),
-//! * [`process_unit`] — the cycle-stepped 4-stage datapath (fig. 6),
-//! * [`fast`] — the event-driven fast-forward datapath (bit-identical
-//!   statistics, a fraction of the simulated work),
+//! * [`process_unit`] — the cycle-stepped 4-stage datapath (fig. 6), the
+//!   reference the detailed engine is tested against,
+//! * [`fast`] — the event-driven datapath every detailed call runs
+//!   (bit-identical statistics and probe events, a fraction of the
+//!   simulated work),
 //! * [`timing`] — the analytic image-level schedule (validated against
 //!   the cycle-stepped path),
 //! * [`resource`] — the calibrated Table 1 device-utilisation model,
@@ -69,7 +71,7 @@ pub mod trace;
 pub mod zbt;
 
 pub use clock::{ClockDomain, Cycles};
-pub use config::{EngineConfig, InterOverlap, SimulationFidelity, StepMode};
+pub use config::{EngineConfig, InterOverlap, SimulationFidelity};
 pub use engine::{AddressEngine, EngineRun, EngineSegmentRun};
 pub use error::{EngineError, EngineResult};
 pub use reconfig::{ReconfigConfig, ReconfigurableEngine};

@@ -24,7 +24,6 @@ use crate::config::EngineConfig;
 
 /// Direction of a DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// PC memory → ZBT.
     HostToBoard,
@@ -43,7 +42,6 @@ impl fmt::Display for Direction {
 
 /// One completed DMA transfer, for traces and utilisation accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transfer {
     /// Transfer direction.
     pub direction: Direction,

@@ -10,7 +10,6 @@ use core::fmt;
 
 /// The pipeline stage an instruction executes in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Stage {
     /// Stage 1: image scanning — advance the pixel position counters.
     Scan,
@@ -64,7 +63,6 @@ impl fmt::Display for Stage {
 /// Lockable datapath resources (§3.2: *"The instructions FSM can request
 /// and lock the resources in the Process Unit"*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Resource {
     /// The pixel position counters of stage 1.
     PositionCounters,
@@ -88,7 +86,6 @@ impl Resource {
 
 /// How stage 2 fills the matrix register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FetchKind {
     /// LOAD: fill the whole matrix from scratch (first pixel of a line).
     Load,
@@ -107,7 +104,6 @@ impl fmt::Display for FetchKind {
 
 /// The per-pixel instruction bundle: one instruction per stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PixelBundle {
     /// Sequence number of the pixel within the call (scan order).
     pub pixel_index: usize,

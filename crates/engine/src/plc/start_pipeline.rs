@@ -14,7 +14,6 @@ use crate::plc::instructions::{PixelBundle, Stage};
 
 /// Occupancy of the four stages in one cycle, for pipeline traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StageSnapshot {
     /// The pixel index occupying each stage (`None` = bubble).
     pub slots: [Option<usize>; 4],

@@ -7,8 +7,10 @@
 //! the production rate (§3.1).
 //!
 //! [`run_intra_detailed`] and [`run_inter_detailed`] simulate one call
-//! cycle by cycle; the analytic model in [`crate::timing`] is validated
-//! against them.
+//! cycle by cycle. They are the reference semantics: the engine runs the
+//! event-driven [`crate::fast`] datapath, which the tests hold
+//! bit-identical to these loops, and the analytic model in
+//! [`crate::timing`] is validated against them.
 
 use vip_core::border::BorderPolicy;
 use vip_core::geometry::{Dims, Point};
@@ -28,7 +30,6 @@ use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// Statistics of one detailed (cycle-stepped) processing phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProcessingStats {
     /// Engine cycles from processing start until the last result pixel
     /// reached the ZBT.
@@ -73,9 +74,10 @@ impl ProcessingStats {
     }
 }
 
-/// Observability probe for the cycle-stepped datapath: maps engine
-/// cycles onto the session's virtual clock and publishes spans for line
-/// fills, pipeline bubbles, line sweeps, and OIM occupancy.
+/// Observability probe for the detailed datapath and its cycle-stepped
+/// reference: maps engine cycles onto the session's virtual clock and
+/// publishes spans for line fills, pipeline bubbles, line sweeps, and OIM
+/// occupancy.
 #[derive(Debug, Clone, Default)]
 pub struct PuProbe {
     /// Where the spans go; disabled by default.
@@ -84,13 +86,14 @@ pub struct PuProbe {
     pub t0_ns: u64,
     /// Nanoseconds per engine cycle (`1e9 / engine_clock.hz`).
     pub ns_per_cycle: f64,
-    /// Shortest stall run worth a span of its own. The OIM drains at two
-    /// cycles per pixel, so a steady-state CIF call alternates produce /
-    /// stall every other cycle — tens of thousands of one-cycle bubbles
-    /// that would swamp the trace. Short runs still reach the aggregate
-    /// stall counters; only runs of at least this length become spans.
-    pub min_stall_run: u64,
 }
+
+/// Shortest stall run worth a span of its own. The OIM drains at two
+/// cycles per pixel, so a steady-state CIF call alternates produce /
+/// stall every other cycle — tens of thousands of one-cycle bubbles
+/// that would swamp the trace. Short runs still reach the aggregate
+/// stall counters; only runs of at least this length become spans.
+const MIN_STALL_RUN: u64 = 8;
 
 impl PuProbe {
     /// A probe publishing nothing (the default).
@@ -106,30 +109,29 @@ impl PuProbe {
             recorder,
             t0_ns,
             ns_per_cycle,
-            min_stall_run: 8,
         }
     }
 
-    fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.recorder.is_enabled()
     }
 
     /// Virtual-clock nanoseconds of engine cycle `cycle`.
-    fn ts(&self, cycle: u64) -> u64 {
+    pub(crate) fn ts(&self, cycle: u64) -> u64 {
         self.t0_ns + (cycle as f64 * self.ns_per_cycle).round() as u64
     }
 }
 
 /// Coalesces per-cycle stall flags into runs, emitting one span per run
-/// of at least `min_stall_run` cycles (see [`PuProbe::min_stall_run`]).
-struct StallRuns<'a> {
+/// of at least [`MIN_STALL_RUN`] cycles.
+pub(crate) struct StallRuns<'a> {
     probe: &'a PuProbe,
     kind: Option<&'static str>,
     start_cycle: u64,
 }
 
 impl<'a> StallRuns<'a> {
-    fn new(probe: &'a PuProbe) -> Self {
+    pub(crate) fn new(probe: &'a PuProbe) -> Self {
         StallRuns {
             probe,
             kind: None,
@@ -138,7 +140,7 @@ impl<'a> StallRuns<'a> {
     }
 
     /// Feeds the stall state of one cycle (`None` = pipeline advanced).
-    fn step(&mut self, cycle: u64, stalled: Option<&'static str>) {
+    pub(crate) fn step(&mut self, cycle: u64, stalled: Option<&'static str>) {
         if self.kind == stalled {
             return;
         }
@@ -150,9 +152,9 @@ impl<'a> StallRuns<'a> {
     }
 
     /// Closes any open run at `cycle` (exclusive).
-    fn flush(&mut self, cycle: u64) {
+    pub(crate) fn flush(&mut self, cycle: u64) {
         if let Some(kind) = self.kind.take() {
-            if cycle.saturating_sub(self.start_cycle) >= self.probe.min_stall_run {
+            if cycle.saturating_sub(self.start_cycle) >= MIN_STALL_RUN {
                 self.probe.recorder.span(
                     Track::Pu,
                     kind,
@@ -374,7 +376,6 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
                 scan_slot.as_ref().map(|s| s.2),
                 fetch_slot.as_ref().map(|s| s.2),
                 exec_slot.as_ref().map(|s| s.0),
-                oim.occupancy(),
             ));
         }
 
@@ -403,7 +404,7 @@ pub fn run_intra_detailed_probed<O: IntraOp>(
 }
 
 /// Closes one PLC line-sweep span.
-fn emit_sweep(probe: &PuProbe, line: i32, start_cycle: u64, end_cycle: u64) {
+pub(crate) fn emit_sweep(probe: &PuProbe, line: i32, start_cycle: u64, end_cycle: u64) {
     probe.recorder.span(
         Track::Plc,
         "line_sweep",
@@ -414,7 +415,7 @@ fn emit_sweep(probe: &PuProbe, line: i32, start_cycle: u64, end_cycle: u64) {
 }
 
 /// Emits the span covering the whole cycle-stepped processing phase.
-fn emit_processing_span(probe: &PuProbe, cycles: u64, stats: &ProcessingStats, pixels: usize) {
+pub(crate) fn emit_processing_span(probe: &PuProbe, cycles: u64, stats: &ProcessingStats, pixels: usize) {
     probe.recorder.span(
         Track::Pu,
         "processing",
@@ -530,7 +531,6 @@ pub fn run_inter_detailed_probed<O: InterOp>(
                 (next_pixel < total).then_some(next_pixel),
                 fetch_slot.as_ref().map(|s| s.0),
                 exec_slot.as_ref().map(|s| s.0),
-                oim.occupancy(),
             ));
         }
 
@@ -628,12 +628,7 @@ fn track_pipeline(
     }
 }
 
-fn snapshot_of(
-    scan: Option<usize>,
-    fetch: Option<usize>,
-    exec: Option<usize>,
-    _oim_occupancy: usize,
-) -> StageSnapshot {
+fn snapshot_of(scan: Option<usize>, fetch: Option<usize>, exec: Option<usize>) -> StageSnapshot {
     StageSnapshot {
         slots: [scan, fetch, exec, None],
     }

@@ -159,7 +159,7 @@ pub struct EngineReport {
     /// Hardware pixel-access cycles actually observed on the ZBT
     /// (detailed mode) or taken from the model (analytic mode).
     pub hardware_accesses: u64,
-    /// Cycle-stepped statistics; present in detailed mode only.
+    /// Detailed-datapath statistics; present in detailed mode only.
     pub processing: Option<ProcessingStats>,
 }
 
@@ -180,7 +180,6 @@ impl fmt::Display for EngineReport {
 /// Per-mode call tallies and accumulated busy time — the counters behind
 /// the "Intra AddrEng calls" / "Inter AddrEng calls" columns of Table 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EngineStats {
     /// Completed intra calls.
     pub intra_calls: u64,

@@ -24,7 +24,6 @@ use crate::timing::CallTimeline;
 
 /// What happened at one point of a call's schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceKind {
     /// Host issued the call (interrupt/DMA setup begins).
     CallIssued,
@@ -76,7 +75,6 @@ impl fmt::Display for TraceKind {
 
 /// One schedule event.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEvent {
     /// Seconds from call issue.
     pub at: f64,

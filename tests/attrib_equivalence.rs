@@ -1,50 +1,30 @@
-//! Differential tests: cycle attribution must be step-mode independent.
+//! Differential tests: the engine's cycle attribution must equal the
+//! cycle-stepped reference's.
 //!
 //! `vipctl report` reads its stall buckets, per-bank ZBT duty and
 //! call-second split from the engine's metrics [`Registry`]. For the
 //! report to be trustworthy, the *whole registry* — every counter,
-//! gauge and histogram, including the new `attrib.*`, `pu.idle_cycles`
-//! and `zbt.bankN.access_words` keys — must be bit-identical between
-//! `StepMode::CycleStepped` and `StepMode::FastForward` on the same
-//! workload. This sweep asserts exactly that across xorshift-seeded
+//! gauge and histogram, including the `attrib.*`, `pu.idle_cycles` and
+//! `zbt.bankN.access_words` keys — must equal the registry built from the
+//! cycle-stepped reference of `vip-engine::process_unit` on the same call
+//! (`report::record_into` over its report, plus its per-bank ZBT
+//! traffic). This sweep asserts exactly that across xorshift-seeded
 //! configurations in every addressing mode, and checks the
 //! busy/iim/oim/idle buckets partition the cycle count exactly.
 
+mod reference;
+
+use reference::{random_case, reference, second_frame, test_frame, Call};
 use vip::core::accounting::{AccessModel, AddressingMode, CallDescriptor};
-use vip::core::frame::Frame;
+use vip::core::addressing::segment::{run_segment, SegmentOptions};
 use vip::core::geometry::{Dims, Point};
 use vip::core::neighborhood::Connectivity;
-use vip::core::ops::arith::AbsDiff;
-use vip::core::ops::filter::BoxBlur;
 use vip::core::ops::segment_ops::HomogeneityCriterion;
-use vip::core::pixel::{ChannelSet, Pixel};
-use vip::engine::report::{keys, record_into};
-use vip::engine::{AddressEngine, EngineConfig, EngineError, Registry, StepMode};
-
-/// One random detailed configuration (the `fast_forward_equivalence`
-/// distribution: legal and deadlocking IIM/OIM/drain draws both appear).
-fn random_case(seed: u64) -> (EngineConfig, Dims, usize) {
-    let mut rng = vip::video::rng::XorShift64::new(seed ^ 0x5eed_f0f0);
-    let width = 4 + (rng.next_u64() % 29) as usize; // 4..=32
-    let height = 4 + (rng.next_u64() % 21) as usize; // 4..=24
-    let radius = (rng.next_u64() % 4) as usize; // 0..=3
-    let mut config = EngineConfig::prototype_detailed();
-    config.iim_lines = 2 + (rng.next_u64() % 9) as usize;
-    config.oim_lines = 1 + (rng.next_u64() % 16) as usize;
-    config.oim_drain_cycles_per_pixel = 1 + rng.next_u64() % 4;
-    config.output_latency_fraction = [0.0, 0.125, 0.25, 0.5][(rng.next_u64() % 4) as usize];
-    (config, Dims::new(width, height), radius)
-}
-
-fn test_frame(dims: Dims) -> Frame {
-    Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8))
-}
-
-fn with_mode(base: &EngineConfig, mode: StepMode) -> EngineConfig {
-    let mut cfg = base.clone();
-    cfg.step_mode = mode;
-    cfg
-}
+use vip::core::pixel::ChannelSet;
+use vip::engine::process_unit::PuProbe;
+use vip::engine::report::{keys, record_into, zbt_bank_key};
+use vip::engine::timing::segment_timeline;
+use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineReport, Registry};
 
 /// The busy/iim/oim/idle buckets are a mutually exclusive partition of
 /// the processing cycles, so they must sum back exactly.
@@ -57,17 +37,35 @@ fn assert_partition(registry: &Registry, context: &str) {
     assert_eq!(total, parts, "{context}: cycle buckets do not partition");
 }
 
-/// Runs one intra call and returns the engine's full registry.
-fn intra_registry(
-    base: &EngineConfig,
-    dims: Dims,
-    radius: usize,
-    mode: StepMode,
-) -> Result<Registry, EngineError> {
-    let mut engine = AddressEngine::new(with_mode(base, mode))?;
-    let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
-    engine.run_intra(&test_frame(dims), &op)?;
-    Ok(engine.metrics().clone())
+/// Runs `call` on a fresh engine and through the stepped reference and
+/// returns the engine's registry next to the reference's, or `None` when
+/// both deadlock.
+fn registries(
+    config: &EngineConfig,
+    call: Call<'_>,
+    context: &str,
+) -> Option<(Registry, Registry)> {
+    let mut engine = AddressEngine::new(config.clone()).expect("valid config");
+    match (
+        call.run(&mut engine),
+        reference(config, call, 0, &PuProbe::disabled()),
+    ) {
+        (Ok(run), Ok(r)) => {
+            assert_eq!(run.output, r.output, "{context}: output pixels diverge");
+            let mut expected = Registry::new();
+            record_into(&mut expected, &r.report);
+            for (bank, s) in r.banks.iter().enumerate() {
+                expected.inc(zbt_bank_key(bank), s.total());
+            }
+            Some((engine.metrics().clone(), expected))
+        }
+        (Err(EngineError::PipelineHazard { .. }), Err(EngineError::PipelineHazard { .. })) => None,
+        (e, r) => panic!(
+            "{context}: verdicts diverge — engine {:?}, reference {:?}",
+            e.map(|_| "ok").map_err(|e| e.to_string()),
+            r.map(|_| "ok").map_err(|e| e.to_string()),
+        ),
+    }
 }
 
 #[test]
@@ -75,25 +73,17 @@ fn intra_attribution_is_mode_independent_across_seeded_configs() {
     let mut clean = 0;
     for seed in 0..60 {
         let (config, dims, radius) = random_case(seed);
-        let stepped = intra_registry(&config, dims, radius, StepMode::CycleStepped);
-        let fast = intra_registry(&config, dims, radius, StepMode::FastForward);
-        match (stepped, fast) {
-            (Ok(s), Ok(f)) => {
-                assert_eq!(s, f, "seed {seed} {dims:?} r{radius}: registries diverge");
-                assert_partition(&s, &format!("seed {seed}"));
-                let banks: u64 = (0..6)
-                    .map(|b| s.counter(vip::engine::report::zbt_bank_key(b)))
-                    .sum();
-                assert!(banks > 0, "seed {seed}: no ZBT bank traffic recorded");
-                clean += 1;
-            }
-            (Err(EngineError::PipelineHazard { .. }), Err(EngineError::PipelineHazard { .. })) => {}
-            (s, f) => panic!(
-                "seed {seed}: verdicts diverge — stepped {:?}, fast {:?}",
-                s.map(|_| "ok").map_err(|e| e.to_string()),
-                f.map(|_| "ok").map_err(|e| e.to_string()),
-            ),
-        }
+        let frame = test_frame(dims);
+        let context = format!("seed {seed} {dims:?} r{radius}");
+        let Some((engine, expected)) = registries(&config, Call::Intra(&frame, radius), &context)
+        else {
+            continue;
+        };
+        assert_eq!(engine, expected, "{context}: registries diverge");
+        assert_partition(&engine, &context);
+        let banks: u64 = (0..6).map(|b| engine.counter(zbt_bank_key(b))).sum();
+        assert!(banks > 0, "{context}: no ZBT bank traffic recorded");
+        clean += 1;
     }
     assert!(clean >= 15, "only {clean} clean configurations out of 60");
 }
@@ -102,42 +92,54 @@ fn intra_attribution_is_mode_independent_across_seeded_configs() {
 fn inter_attribution_is_mode_independent() {
     for seed in 0..20 {
         let (config, dims, _) = random_case(seed);
-        let a = test_frame(dims);
-        let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8));
-        let mut registries = Vec::new();
-        for mode in [StepMode::CycleStepped, StepMode::FastForward] {
-            let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
-            engine
-                .run_inter(&a, &b, &AbsDiff::luma())
-                .unwrap_or_else(|e| panic!("seed {seed} ({mode:?}): {e}"));
-            registries.push(engine.metrics().clone());
-        }
-        assert_eq!(registries[0], registries[1], "inter seed {seed} {dims:?}");
-        assert_partition(&registries[0], &format!("inter seed {seed}"));
+        let (a, b) = (test_frame(dims), second_frame(dims));
+        let context = format!("inter seed {seed} {dims:?}");
+        let (engine, expected) = registries(&config, Call::Inter(&a, &b), &context)
+            .unwrap_or_else(|| panic!("{context}: inter calls cannot deadlock"));
+        assert_eq!(engine, expected, "{context}: registries diverge");
+        assert_partition(&engine, &context);
     }
 }
 
 #[test]
 fn segment_attribution_is_mode_independent() {
+    // Segment calls have no cycle-level datapath: the engine runs the
+    // software segment path and prices it with the segment timeline, so
+    // its registry must be exactly `record_into` of that report — no
+    // processing keys, no ZBT bank keys.
     let dims = Dims::new(24, 18);
     let frame = test_frame(dims);
-    let mut registries = Vec::new();
-    for mode in [StepMode::CycleStepped, StepMode::FastForward] {
-        let mut cfg = EngineConfig::outlook_v2();
-        cfg.step_mode = mode;
-        let mut engine = AddressEngine::new(cfg).expect("valid config");
-        engine
-            .run_segment(
-                &frame,
-                &[Point::new(12, 9)],
-                &HomogeneityCriterion::luma(40),
-                vip::core::addressing::segment::SegmentOptions::default(),
-            )
-            .expect("segment call succeeds");
-        registries.push(engine.metrics().clone());
-    }
-    assert_eq!(registries[0], registries[1], "segment registries diverge");
-    assert_eq!(registries[0].counter(keys::SEGMENT_CALLS), 1);
+    let seeds = [Point::new(12, 9)];
+    let criterion = HomogeneityCriterion::luma(40);
+    let options = SegmentOptions::default();
+    let cfg = EngineConfig::outlook_v2();
+    let mut engine = AddressEngine::new(cfg.clone()).expect("valid config");
+    engine
+        .run_segment(&frame, &seeds, &criterion, options)
+        .expect("segment call succeeds");
+
+    let pixels = run_segment(&frame, &seeds, &criterion, options)
+        .expect("software segment call succeeds")
+        .report
+        .pixels_processed;
+    let descriptor = CallDescriptor::segment(
+        options.connectivity,
+        ChannelSet::Y,
+        ChannelSet::ALPHA.union(ChannelSet::AUX),
+    );
+    let mut expected = Registry::new();
+    record_into(
+        &mut expected,
+        &EngineReport {
+            descriptor,
+            timeline: segment_timeline(dims, pixels, &cfg),
+            access_model: AccessModel::for_call(&descriptor, dims),
+            hardware_accesses: 2 * pixels,
+            processing: None,
+        },
+    );
+    assert_eq!(engine.metrics(), &expected, "segment registries diverge");
+    assert_eq!(expected.counter(keys::SEGMENT_CALLS), 1);
 }
 
 #[test]
@@ -154,7 +156,7 @@ fn segment_indexed_records_attribution_without_a_call_tally() {
         input_channels: ChannelSet::Y,
         output_channels: ChannelSet::ALPHA,
     };
-    let report = vip::engine::EngineReport {
+    let report = EngineReport {
         descriptor,
         timeline: vip::engine::timing::intra_timeline(dims, 1, &cfg),
         access_model: AccessModel::for_call(&descriptor, dims),
@@ -166,7 +168,11 @@ fn segment_indexed_records_attribution_without_a_call_tally() {
     record_into(&mut a, &report);
     record_into(&mut b, &report);
     assert_eq!(a, b);
-    assert_eq!(a.counter(keys::SEGMENT_CALLS), 0, "indexed pass is not a new call");
+    assert_eq!(
+        a.counter(keys::SEGMENT_CALLS),
+        0,
+        "indexed pass is not a new call"
+    );
     assert!(a.gauge(keys::BUSY_SECONDS) > 0.0);
     assert!(a.gauge(keys::ATTRIB_PCI_INPUT_SECONDS) > 0.0);
 }

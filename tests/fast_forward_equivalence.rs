@@ -1,109 +1,91 @@
-//! Differential tests: event-driven fast-forward vs cycle-stepped
-//! simulation.
+//! Differential tests: the detailed engine vs the cycle-stepped reference.
 //!
-//! `StepMode::FastForward` claims to be a pure performance optimisation:
-//! on every addressing mode and every configuration it must produce
-//! **bit-identical** results to `StepMode::CycleStepped` — the output
-//! frame, the full [`vip::engine::EngineReport`] (processing statistics
-//! including the fig. 5 stage trace, ZBT access counts, timeline), the
-//! accumulated [`vip::engine::EngineStats`], the §4.1 schedule instants,
-//! and the error verdict for configurations whose eviction gate
-//! deadlocks. This sweep asserts exactly that over ~100 xorshift-seeded
-//! configurations, run in parallel through `vip-par` — whose own
-//! determinism (identical output at 1 and N threads) is asserted along
-//! the way.
+//! `AddressEngine` runs every detailed call through the event-driven
+//! datapath of `vip-engine::fast`, which claims to be a pure performance
+//! optimisation of the cycle-stepped loops in `vip-engine::process_unit`.
+//! On every configuration it must produce **bit-identical** results to
+//! that reference: the output frame, the full
+//! [`vip::engine::EngineReport`] (processing statistics including the
+//! fig. 5 stage trace, hardware access count), the per-bank ZBT traffic,
+//! the error verdict for configurations whose eviction gate deadlocks,
+//! and — with a recorder attached — every line-fill, line-sweep,
+//! stall-run, occupancy and processing event. The intra sweep runs
+//! ~100 xorshift-seeded configurations in parallel through `vip-par`,
+//! whose own determinism (identical output at 1 and N threads) is
+//! asserted along the way.
 
-use vip::check::schedule::instants;
-use vip::core::frame::Frame;
-use vip::core::geometry::{Dims, Point};
-use vip::core::ops::arith::AbsDiff;
-use vip::core::ops::filter::BoxBlur;
-use vip::core::ops::segment_ops::HomogeneityCriterion;
-use vip::core::pixel::Pixel;
-use vip::engine::{AddressEngine, EngineConfig, EngineError, EngineRun, StepMode};
+mod reference;
 
-/// Number of seeded random configurations per differential sweep.
+use reference::{random_case, reference, second_frame, test_frame, Call};
+use vip::core::geometry::Dims;
+use vip::engine::dma::{schedule_inter_call, schedule_intra_call};
+use vip::engine::process_unit::PuProbe;
+use vip::engine::report::zbt_bank_key;
+use vip::engine::trace::seconds_to_ns;
+use vip::engine::{
+    AddressEngine, EngineConfig, EngineError, InterOverlap, Recorder, Session, TraceRecord, Track,
+};
+
+/// Number of seeded random configurations in the intra sweep.
 const CONFIGS: u64 = 100;
 
-/// One random detailed configuration, drawn across (and beyond) the
-/// legal IIM/OIM/drain range so both clean and deadlocking cases appear.
-fn random_case(seed: u64) -> (EngineConfig, Dims, usize) {
-    let mut rng = vip::video::rng::XorShift64::new(seed ^ 0x5eed_f0f0);
-    let width = 4 + (rng.next_u64() % 29) as usize; // 4..=32
-    let height = 4 + (rng.next_u64() % 21) as usize; // 4..=24
-    let radius = (rng.next_u64() % 4) as usize; // 0..=3
-    let mut config = EngineConfig::prototype_detailed();
-    config.iim_lines = 2 + (rng.next_u64() % 9) as usize;
-    config.oim_lines = 1 + (rng.next_u64() % 16) as usize;
-    config.oim_drain_cycles_per_pixel = 1 + rng.next_u64() % 4;
-    config.output_latency_fraction = [0.0, 0.125, 0.25, 0.5][(rng.next_u64() % 4) as usize];
-    (config, Dims::new(width, height), radius)
-}
-
-fn test_frame(dims: Dims) -> Frame {
-    Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8))
-}
-
-fn with_mode(base: &EngineConfig, mode: StepMode) -> EngineConfig {
-    let mut cfg = base.clone();
-    cfg.step_mode = mode;
-    cfg
-}
-
-/// Runs one intra call in the given step mode; returns the run plus the
-/// engine's accumulated stats.
-fn intra_in_mode(
-    base: &EngineConfig,
-    dims: Dims,
-    radius: usize,
-    trace_limit: usize,
-    mode: StepMode,
-) -> Result<(EngineRun, vip::engine::EngineStats), EngineError> {
-    let mut engine = AddressEngine::new(with_mode(base, mode))?;
+/// Runs `call` on a fresh engine and the stepped reference and asserts
+/// the two are indistinguishable. Returns a compact verdict.
+fn verdict(config: &EngineConfig, call: Call<'_>, trace_limit: usize, context: &str) -> String {
+    let mut engine = AddressEngine::new(config.clone()).expect("valid config");
     engine.set_trace_limit(trace_limit);
-    let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
-    let run = engine.run_intra(&test_frame(dims), &op)?;
-    Ok((run, engine.stats()))
-}
-
-/// Asserts two same-seed runs are indistinguishable, down to the f64
-/// schedule instants (computed from identical inputs, so exactly equal).
-fn assert_identical(
-    stepped: &(EngineRun, vip::engine::EngineStats),
-    fast: &(EngineRun, vip::engine::EngineStats),
-    context: &str,
-) {
-    assert_eq!(stepped.0.output, fast.0.output, "{context}: output pixels diverge");
-    assert_eq!(stepped.0.report, fast.0.report, "{context}: reports diverge");
-    assert_eq!(stepped.1, fast.1, "{context}: engine stats diverge");
-    let si = instants(&stepped.0.report.timeline);
-    let fi = instants(&fast.0.report.timeline);
-    assert_eq!(si, fi, "{context}: §4.1 schedule instants diverge");
-}
-
-/// One seed's verdict, compact enough to compare across thread counts.
-fn intra_verdict(seed: u64) -> String {
-    let (config, dims, radius) = random_case(seed);
-    let stepped = intra_in_mode(&config, dims, radius, 32, StepMode::CycleStepped);
-    let fast = intra_in_mode(&config, dims, radius, 32, StepMode::FastForward);
-    match (&stepped, &fast) {
-        (Ok(s), Ok(f)) => {
-            assert_identical(s, f, &format!("seed {seed} {dims:?} r{radius}"));
-            let p = s.0.report.processing.as_ref().expect("detailed stats");
+    let run = call.run(&mut engine);
+    match (
+        run,
+        reference(config, call, trace_limit, &PuProbe::disabled()),
+    ) {
+        (Ok(run), Ok(r)) => {
+            assert_eq!(run.output, r.output, "{context}: output pixels diverge");
+            assert_eq!(run.report, r.report, "{context}: reports diverge");
+            for (bank, s) in r.banks.iter().enumerate() {
+                assert_eq!(
+                    engine.metrics().counter(zbt_bank_key(bank)),
+                    s.total(),
+                    "{context}: ZBT bank {bank} traffic diverges"
+                );
+            }
+            let p = r.report.processing.as_ref().expect("detailed stats");
             format!(
                 "ok cycles={} iim={} oim={} occ={} trace={}",
-                p.cycles, p.iim_stalls, p.oim_stalls, p.oim_max_occupancy, p.trace.len()
+                p.cycles,
+                p.iim_stalls,
+                p.oim_stalls,
+                p.oim_max_occupancy,
+                p.trace.len()
             )
         }
-        (Err(EngineError::PipelineHazard { .. }), Err(EngineError::PipelineHazard { .. })) => {
+        (Err(e @ EngineError::PipelineHazard { .. }), Err(r)) => {
+            assert_eq!(
+                e.to_string(),
+                r.to_string(),
+                "{context}: hazard verdicts diverge"
+            );
             "deadlock".to_owned()
         }
-        (s, f) => panic!(
-            "seed {seed}: verdicts diverge — stepped {:?}, fast {:?}",
-            s.as_ref().map(|_| "ok").map_err(ToString::to_string),
-            f.as_ref().map(|_| "ok").map_err(ToString::to_string),
+        (e, r) => panic!(
+            "{context}: verdicts diverge — engine {:?}, reference {:?}",
+            e.map(|_| "ok").map_err(|e| e.to_string()),
+            r.map(|_| "ok").map_err(|e| e.to_string()),
         ),
     }
+}
+
+/// One seed's intra verdict, compact enough to compare across thread
+/// counts.
+fn intra_verdict(seed: u64) -> String {
+    let (config, dims, radius) = random_case(seed);
+    let frame = test_frame(dims);
+    verdict(
+        &config,
+        Call::Intra(&frame, radius),
+        32,
+        &format!("seed {seed} {dims:?} r{radius}"),
+    )
 }
 
 #[test]
@@ -113,8 +95,14 @@ fn intra_fast_forward_is_bit_identical_across_seeded_configs() {
     let clean = verdicts.iter().filter(|v| v.starts_with("ok")).count();
     let deadlocked = verdicts.iter().filter(|v| *v == "deadlock").count();
     // The sweep must exercise both verdicts to mean anything.
-    assert!(clean >= 20, "only {clean} clean configurations out of {CONFIGS}");
-    assert!(deadlocked >= 10, "only {deadlocked} deadlocks out of {CONFIGS}");
+    assert!(
+        clean >= 20,
+        "only {clean} clean configurations out of {CONFIGS}"
+    );
+    assert!(
+        deadlocked >= 10,
+        "only {deadlocked} deadlocks out of {CONFIGS}"
+    );
 
     // vip-par determinism: the same sweep serially, byte-identical.
     let serial = vip::par::map_indexed(CONFIGS as usize, 1, |i| intra_verdict(i as u64));
@@ -125,68 +113,146 @@ fn intra_fast_forward_is_bit_identical_across_seeded_configs() {
 fn inter_fast_forward_is_bit_identical() {
     for seed in 0..24 {
         let (config, dims, _) = random_case(seed);
-        let a = test_frame(dims);
-        let b = Frame::from_fn(dims, |p| Pixel::from_luma(((p.x * 5 + p.y * 3 + 17) % 256) as u8));
-        let mut runs = Vec::new();
-        for mode in [StepMode::CycleStepped, StepMode::FastForward] {
-            let mut engine = AddressEngine::new(with_mode(&config, mode)).expect("valid config");
-            engine.set_trace_limit(24);
-            let run = engine
-                .run_inter(&a, &b, &AbsDiff::luma())
-                .unwrap_or_else(|e| panic!("seed {seed} ({mode:?}): {e}"));
-            runs.push((run, engine.stats()));
+        let (a, b) = (test_frame(dims), second_frame(dims));
+        let v = verdict(
+            &config,
+            Call::Inter(&a, &b),
+            24,
+            &format!("inter seed {seed} {dims:?}"),
+        );
+        assert!(v.starts_with("ok"), "inter seed {seed}: {v}");
+    }
+}
+
+/// The datapath's own tracks: everything a `PuProbe` writes to.
+fn datapath_events(events: Vec<TraceRecord>) -> Vec<TraceRecord> {
+    events
+        .into_iter()
+        .filter(|e| matches!(e.track, Track::Iim | Track::Oim | Track::Pu | Track::Plc))
+        .collect()
+}
+
+/// Records `call` on a fresh engine and on the stepped reference, the
+/// latter through a probe on the engine's timebase (processing starts
+/// when the first strip — inter: both images, or the first strip pair
+/// when interleaved — has landed). Asserts the recorded run equals an
+/// unrecorded one and returns the two datapath event lists.
+fn recorded_pair(
+    config: &EngineConfig,
+    call: Call<'_>,
+    trace_limit: usize,
+    context: &str,
+) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
+    let run_engine = |recorder: Recorder| {
+        let mut engine = AddressEngine::new(config.clone()).expect("valid config");
+        engine.set_trace_limit(trace_limit);
+        engine.set_recorder(recorder);
+        let run = call.run(&mut engine);
+        (run, engine.metrics().clone())
+    };
+    let session = Session::new();
+    let (recorded, recorded_metrics) = run_engine(session.recorder());
+    let (plain, plain_metrics) = run_engine(Recorder::disabled());
+    match (&recorded, &plain) {
+        (Ok(r), Ok(p)) => {
+            assert_eq!(
+                r.output, p.output,
+                "{context}: recording changes the output"
+            );
+            assert_eq!(
+                r.report, p.report,
+                "{context}: recording changes the report"
+            );
         }
-        assert_identical(&runs[0], &runs[1], &format!("inter seed {seed} {dims:?}"));
+        (Err(r), Err(p)) => assert_eq!(r.to_string(), p.to_string(), "{context}"),
+        _ => panic!("{context}: recording changes the verdict"),
     }
-}
-
-#[test]
-fn segment_calls_are_mode_independent() {
-    // Segment (and segment-indexed) addressing runs the software path in
-    // both step modes — the §5 outlook engine has no cycle-stepped
-    // datapath — so the whole report must be identical by construction.
-    let dims = Dims::new(24, 18);
-    let frame = test_frame(dims);
-    let mut reports = Vec::new();
-    for mode in [StepMode::CycleStepped, StepMode::FastForward] {
-        let mut cfg = EngineConfig::outlook_v2();
-        cfg.step_mode = mode;
-        let mut engine = AddressEngine::new(cfg).expect("valid config");
-        let run = engine
-            .run_segment(
-                &frame,
-                &[Point::new(12, 9)],
-                &HomogeneityCriterion::luma(40),
-                vip::core::addressing::segment::SegmentOptions::default(),
-            )
-            .expect("segment call succeeds");
-        reports.push((run, engine.stats()));
-    }
-    assert_eq!(reports[0].0.result.output, reports[1].0.result.output);
-    assert_eq!(reports[0].0.result.segment, reports[1].0.result.segment);
-    assert_eq!(reports[0].0.report, reports[1].0.report);
-    assert_eq!(reports[0].1, reports[1].1);
     assert_eq!(
-        instants(&reports[0].0.report.timeline),
-        instants(&reports[1].0.report.timeline)
+        recorded_metrics, plain_metrics,
+        "{context}: recording changes the registry"
     );
+
+    let start = match call {
+        Call::Intra(frame, _) => schedule_intra_call(frame.dims(), config).input_strips[0]
+            .transfer
+            .end(),
+        Call::Inter(a, _) => {
+            let s = schedule_inter_call(a.dims(), config);
+            match config.inter_overlap {
+                InterOverlap::Sequential => s.input_end,
+                InterOverlap::Interleaved => s.input_strips[1].transfer.end(),
+            }
+        }
+    };
+    let reference_session = Session::new();
+    let probe = PuProbe::new(
+        reference_session.recorder(),
+        seconds_to_ns(start.count() as f64 / config.pci_clock.hz),
+        1e9 / config.engine_clock.hz,
+    );
+    let stepped = reference(config, call, trace_limit, &probe);
+    assert_eq!(
+        stepped.is_ok(),
+        recorded.is_ok(),
+        "{context}: engine and reference verdicts diverge"
+    );
+    (
+        datapath_events(session.finish().events),
+        reference_session.finish().events,
+    )
 }
 
 #[test]
-fn recorder_attaches_force_the_stepped_path_and_stay_identical() {
-    // A recorded fast-forward engine silently steps (per-cycle spans need
-    // the per-cycle loop) — statistics must still match an unrecorded run.
-    let (config, dims, radius) = random_case(3);
-    let unrecorded = intra_in_mode(&config, dims, radius, 0, StepMode::FastForward)
-        .expect("seed 3 is a clean configuration");
+fn recorded_runs_emit_the_stepped_reference_events() {
+    // The seeded distribution, half of it with interleaved inter
+    // transfers, plus slow drains whose OIM stall runs are skipped in
+    // one jump — the drain of 12 makes those runs long enough to span.
+    let mut cases: Vec<(EngineConfig, Dims, usize)> = (0..40)
+        .map(|seed| {
+            let (mut config, dims, radius) = random_case(seed);
+            if seed % 2 == 1 {
+                config.inter_overlap = InterOverlap::Interleaved;
+            }
+            (config, dims, radius)
+        })
+        .collect();
+    for (drain, dims) in [(3, Dims::new(16, 9)), (12, Dims::new(20, 6))] {
+        let mut config = EngineConfig::prototype_detailed();
+        config.oim_drain_cycles_per_pixel = drain;
+        config.oim_lines = 1;
+        cases.push((config, dims, 1));
+    }
 
-    let mut engine =
-        AddressEngine::new(with_mode(&config, StepMode::FastForward)).expect("valid config");
-    let session = vip::engine::Session::new();
-    engine.set_recorder(session.recorder());
-    let op = BoxBlur::with_radius(radius).expect("radius ≤ 4");
-    let run = engine.run_intra(&test_frame(dims), &op).expect("recorded run succeeds");
-    assert_eq!(run.output, unrecorded.0.output);
-    assert_eq!(run.report, unrecorded.0.report);
-    assert!(!session.finish().is_empty(), "recorded run must emit spans");
+    let mut skipped_stall_spans = 0;
+    for (i, (config, dims, radius)) in cases.iter().enumerate() {
+        let (a, b) = (test_frame(*dims), second_frame(*dims));
+        for trace_limit in [0, 32] {
+            for (kind, call) in [
+                ("intra", Call::Intra(&a, *radius)),
+                ("inter", Call::Inter(&a, &b)),
+            ] {
+                let context = format!("case {i} {dims:?} {kind} trace {trace_limit}");
+                let (engine, stepped) = recorded_pair(config, call, trace_limit, &context);
+                assert!(
+                    !stepped.is_empty(),
+                    "{context}: the reference emitted nothing"
+                );
+                assert_eq!(
+                    engine.len(),
+                    stepped.len(),
+                    "{context}: event counts diverge"
+                );
+                for (k, (e, s)) in engine.iter().zip(&stepped).enumerate() {
+                    assert_eq!(e, s, "{context}: event {k} diverges");
+                }
+                if config.oim_drain_cycles_per_pixel >= 12 {
+                    skipped_stall_spans += engine.iter().filter(|e| e.name == "oim_stall").count();
+                }
+            }
+        }
+    }
+    assert!(
+        skipped_stall_spans > 0,
+        "no skipped OIM stall run became a span"
+    );
 }
