@@ -22,7 +22,8 @@ use crate::addressing::CallReport;
 use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
 use crate::ops::InterOp;
-use crate::scan::{scan_points, ScanOrder};
+use crate::pixel::Pixel;
+use crate::scan::ScanOrder;
 
 /// Result of an inter call: the output frame plus the execution report.
 #[derive(Debug, Clone)]
@@ -47,9 +48,10 @@ pub fn run_inter(a: &Frame, b: &Frame, op: &impl InterOp) -> CoreResult<InterRes
 
 /// Runs an inter-addressing call with an explicit scan order.
 ///
-/// The scan order does not change the result (inter kernels are pointwise)
-/// but determines the access pattern, which the engine simulator's strip
-/// transfer mirrors.
+/// Inter kernels are pointwise, so the scan order changes neither the
+/// software result nor the access counters: the software sweep always
+/// runs row by row. The order describes the access pattern the engine
+/// simulator's strip transfer mirrors.
 ///
 /// # Errors
 ///
@@ -59,41 +61,41 @@ pub fn run_inter_scanned(
     a: &Frame,
     b: &Frame,
     op: &impl InterOp,
-    scan: ScanOrder,
+    _scan: ScanOrder,
 ) -> CoreResult<InterResult> {
-    if a.dims() != b.dims() {
+    let dims = a.dims();
+    if dims != b.dims() {
         return Err(CoreError::DimsMismatch {
-            left: a.dims(),
+            left: dims,
             right: b.dims(),
         });
     }
-    if a.dims().is_empty() {
+    if dims.is_empty() {
         return Err(CoreError::EmptyFrame);
     }
 
     let descriptor = CallDescriptor::inter(op.input_channels(), op.output_channels());
-    let mut counter = AccessCounter::new();
-    let mut output = a.clone();
     let per_pixel_reads = descriptor.software_accesses_per_pixel() - 1;
 
-    let mut applied = 0u64;
-    for p in scan_points(a.dims(), scan) {
-        let pa = a.get(p);
-        let pb = b.get(p);
-        counter.read(per_pixel_reads);
-        let result = op.apply(pa, pb);
-        let mut out = pa;
-        out.merge_channels(result, op.output_channels());
-        output.set(p, out);
-        counter.write(1);
-        applied += 1;
+    // Row sweep: one kernel dispatch per line.
+    let mut data = vec![Pixel::default(); dims.pixel_count()];
+    let lines = a.pixels().chunks_exact(dims.width).zip(b.pixels().chunks_exact(dims.width));
+    for (out, (la, lb)) in data.chunks_exact_mut(dims.width).zip(lines) {
+        op.apply_row(la, lb, out);
     }
 
+    // Every pixel reads both inputs and writes its result once: the
+    // per-pixel ticks of a pixel-by-pixel sweep, summed.
+    let applied = dims.pixel_count() as u64;
+    let mut counter = AccessCounter::new();
+    counter.read(applied * per_pixel_reads);
+    counter.write(applied);
+
     Ok(InterResult {
-        output,
+        output: Frame::from_pixels(dims, data)?,
         report: CallReport {
             descriptor,
-            dims: a.dims(),
+            dims,
             pixels_processed: applied,
             op_applies: applied,
             counter,

@@ -25,12 +25,17 @@ use crate::frame::Frame;
 use crate::geometry::Point;
 use crate::neighborhood::Window;
 use crate::ops::IntraOp;
-use crate::scan::{scan_points, ScanOrder};
+use crate::pixel::Pixel;
+use crate::scan::ScanOrder;
 
 /// Options of an intra call beyond the kernel itself.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntraOptions {
-    /// Scan order of the sweep (default row-major).
+    /// Scan order of the sweep (default row-major). Intra kernels read
+    /// only the input frame, so the software result and access counters
+    /// do not depend on it: the software sweep always runs row by row.
+    /// The order describes the access pattern the engine's strip
+    /// transfer mirrors.
     pub scan: ScanOrder,
     /// Border policy for window samples outside the frame (default clamp,
     /// matching the IIM's edge-line replication).
@@ -67,35 +72,34 @@ pub fn run_intra_with(
     op: &impl IntraOp,
     options: IntraOptions,
 ) -> CoreResult<IntraResult> {
-    if frame.dims().is_empty() {
+    let dims = frame.dims();
+    if dims.is_empty() {
         return Err(CoreError::EmptyFrame);
     }
 
     let descriptor = CallDescriptor::intra(op.shape(), op.input_channels(), op.output_channels());
     let per_pixel_reads = descriptor.software_accesses_per_pixel() - 1;
-    let mut counter = AccessCounter::new();
-    let mut output = frame.clone();
 
-    let mut applied = 0u64;
-    // One window reused across the sweep: `regather` refills the sample
-    // buffer in place instead of allocating per pixel.
+    // Row sweep: one kernel dispatch per line, one window reused across
+    // the frame (`regather` refills it in place).
     let mut window = Window::from_samples(Point::ORIGIN, op.shape(), std::iter::empty());
-    for p in scan_points(frame.dims(), options.scan) {
-        window.regather(frame, p, options.border);
-        counter.read(per_pixel_reads);
-        let result = op.apply(&window);
-        let mut out = frame.get(p);
-        out.merge_channels(result, op.output_channels());
-        output.set(p, out);
-        counter.write(1);
-        applied += 1;
+    let mut data = vec![Pixel::default(); dims.pixel_count()];
+    for (y, out) in data.chunks_exact_mut(dims.width).enumerate() {
+        op.apply_row(frame, y, options.border, &mut window, out);
     }
 
+    // Every pixel reads its window and writes its result once: the
+    // per-pixel ticks of a pixel-by-pixel sweep, summed.
+    let applied = dims.pixel_count() as u64;
+    let mut counter = AccessCounter::new();
+    counter.read(applied * per_pixel_reads);
+    counter.write(applied);
+
     Ok(IntraResult {
-        output,
+        output: Frame::from_pixels(dims, data)?,
         report: CallReport {
             descriptor,
-            dims: frame.dims(),
+            dims,
             pixels_processed: applied,
             op_applies: applied,
             counter,

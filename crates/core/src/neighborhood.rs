@@ -129,6 +129,24 @@ impl Connectivity {
         }
     }
 
+    /// Position of `off` in [`Connectivity::offsets_iter`], or `None`
+    /// when it is not one of the window's offsets — O(1).
+    #[must_use]
+    pub const fn offset_index(self, off: Point) -> Option<usize> {
+        if !self.contains_offset(off) {
+            return None;
+        }
+        Some(match self {
+            Connectivity::Con0 => 0,
+            // Row-major cross: N, W, centre, E, S.
+            Connectivity::Con4 => (2 + 2 * off.y + off.x) as usize,
+            Connectivity::Con8 | Connectivity::Square(_) => {
+                let r = self.radius() as i32;
+                ((off.y + r) * (2 * r + 1) + off.x + r) as usize
+            }
+        })
+    }
+
     /// The *expansion* offsets used by segment addressing: the neighbours
     /// (centre excluded) that are tested against the neighbourhood
     /// criterion.
@@ -223,6 +241,10 @@ pub struct Window {
     /// `(offset, pixel)` pairs; offsets as in [`Connectivity::offsets`],
     /// minus any skipped border accesses.
     samples: Vec<(Point, Pixel)>,
+    /// Whether `samples` holds exactly the offsets of `shape`, each once,
+    /// in [`Connectivity::offsets_iter`] order. A full window looks a
+    /// sample up by index and refills in place.
+    full: bool,
 }
 
 impl Window {
@@ -241,6 +263,7 @@ impl Window {
             centre,
             shape,
             samples: Vec::with_capacity(shape.offset_count()),
+            full: false,
         };
         window.regather(frame, centre, policy);
         window
@@ -252,41 +275,47 @@ impl Window {
     /// [`Window::gather`]`(frame, centre, self.shape(), policy)`.
     pub fn regather(&mut self, frame: &Frame, centre: Point, policy: BorderPolicy) {
         self.centre = centre;
-        self.samples.clear();
         let dims = frame.dims();
         let r = self.shape.radius() as i32;
-        let side = 2 * r + 1;
         let interior = centre.x >= r
             && centre.y >= r
             && centre.x + r < dims.width as i32
             && centre.y + r < dims.height as i32;
-        if interior && self.shape.offset_count() == (side * side) as usize {
-            // Full-square interior window: take row slices directly — no
-            // border resolution, no per-sample index arithmetic. Offsets
-            // come out in the same row-major order as `offsets_iter`.
-            for dy in -r..=r {
-                let line = frame.line((centre.y + dy) as usize);
-                let x0 = (centre.x - r) as usize;
-                self.samples.extend(
-                    line[x0..=(centre.x + r) as usize]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, px)| (Point::new(i as i32 - r, dy), *px)),
-                );
-            }
-        } else if interior {
-            // Sparse shape, still fully in bounds: skip border resolution.
-            self.samples.extend(
-                self.shape
-                    .offsets_iter()
-                    .map(|off| (off, frame.get(centre + off))),
-            );
-        } else {
+        if !interior {
+            self.samples.clear();
             self.samples.extend(
                 self.shape
                     .offsets_iter()
                     .filter_map(|off| policy.resolve(frame, centre + off).map(|px| (off, px))),
             );
+            // A subsequence of `offsets_iter`: full count means the whole
+            // shape.
+            self.full = self.samples.len() == self.shape.offset_count();
+            return;
+        }
+        // Interior: every offset is in bounds, so no border resolution.
+        // Lay the offsets out once; later interior gathers overwrite only
+        // the pixel halves.
+        if !self.full {
+            self.samples.clear();
+            self.samples
+                .extend(self.shape.offsets_iter().map(|off| (off, Pixel::default())));
+            self.full = true;
+        }
+        let side = (2 * r + 1) as usize;
+        if self.samples.len() == side * side {
+            // Full square: copy row slices, no per-sample index arithmetic.
+            let x0 = (centre.x - r) as usize;
+            for (row, dy) in self.samples.chunks_exact_mut(side).zip(-r..=r) {
+                let line = &frame.line((centre.y + dy) as usize)[x0..x0 + side];
+                for (slot, px) in row.iter_mut().zip(line) {
+                    slot.1 = *px;
+                }
+            }
+        } else {
+            for (off, px) in &mut self.samples {
+                *px = frame.line((centre.y + off.y) as usize)[(centre.x + off.x) as usize];
+            }
         }
     }
 
@@ -308,10 +337,15 @@ impl Window {
             .filter(|(off, _)| shape.contains_offset(*off))
             .collect();
         collected.sort_by_key(|(off, _)| (off.y, off.x));
+        // Sorted row-major, distinct in-shape offsets of full count are
+        // exactly `offsets_iter`; a duplicate leaves the window partial.
+        let full = collected.len() == shape.offset_count()
+            && collected.windows(2).all(|w| w[0].0 != w[1].0);
         Window {
             centre,
             shape,
             samples: collected,
+            full,
         }
     }
 
@@ -339,9 +373,13 @@ impl Window {
             .expect("window gathered at an in-bounds centre always contains its centre")
     }
 
-    /// The pixel at relative offset `off`, if present.
+    /// The pixel at relative offset `off`, if present: an index into a
+    /// full window, a search of a partial one.
     #[must_use]
     pub fn sample(&self, off: Point) -> Option<Pixel> {
+        if self.full {
+            return self.shape.offset_index(off).map(|i| self.samples[i].1);
+        }
         self.samples
             .iter()
             .find(|(o, _)| *o == off)
@@ -478,11 +516,14 @@ mod tests {
             let iter: Vec<Point> = c.offsets_iter().collect();
             assert_eq!(iter, vec, "{c}");
             assert_eq!(c.offsets_iter().len(), c.offset_count(), "{c}");
-            // O(1) membership agrees with the list on a superset of points.
+            // O(1) membership and index agree with the list on a superset
+            // of points.
             for y in -5..=5 {
                 for x in -5..=5 {
                     let p = Point::new(x, y);
                     assert_eq!(c.contains_offset(p), vec.contains(&p), "{c} at {p}");
+                    let position = vec.iter().position(|o| *o == p);
+                    assert_eq!(c.offset_index(p), position, "{c} at {p}");
                 }
             }
         }
@@ -551,6 +592,7 @@ mod tests {
             centre: Point::ORIGIN,
             shape: Connectivity::Con0,
             samples: vec![],
+            full: false,
         };
         assert_eq!(empty.luma_min_max(), None);
         assert!(empty.is_empty());
@@ -574,6 +616,25 @@ mod tests {
         let direct = Window::gather(&f, centre, Connectivity::Con8, BorderPolicy::Clamp);
         let rebuilt = Window::from_samples(centre, Connectivity::Con8, direct.iter());
         assert_eq!(rebuilt, direct);
+    }
+
+    #[test]
+    fn from_samples_with_duplicates_is_not_full() {
+        // A duplicated offset in a full-count sample list must not be
+        // indexed as if every offset were present: lookups fall back to
+        // the first match, and missing offsets stay missing.
+        let f = ramp();
+        let centre = Point::new(2, 2);
+        let mut samples: Vec<(Point, Pixel)> =
+            Window::gather(&f, centre, Connectivity::Con4, BorderPolicy::Clamp)
+                .iter()
+                .collect();
+        samples[4] = (Point::new(1, 0), Pixel::from_luma(99));
+        let w = Window::from_samples(centre, Connectivity::Con4, samples);
+        assert_eq!(w.len(), 5);
+        assert_eq!(w.sample(Point::new(0, 1)), None);
+        assert_eq!(w.sample(Point::new(1, 0)).unwrap().y, 13);
+        assert_eq!(w.centre_pixel().y, 12);
     }
 
     #[test]

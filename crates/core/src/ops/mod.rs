@@ -26,15 +26,20 @@ pub mod rank;
 pub mod reduce;
 pub mod segment_ops;
 
+use crate::border::BorderPolicy;
+use crate::frame::Frame;
+use crate::geometry::Point;
 use crate::neighborhood::{Connectivity, Window};
 use crate::pixel::{ChannelSet, Pixel};
 
 /// A kernel for inter addressing: one output pixel from a pair of input
 /// pixels at the same position of two frames.
 ///
-/// Implementors should be cheap to call; the executors invoke them once per
-/// pixel. The kernel reports which channels it reads and writes so the
-/// memory-access accounting (Table 2) can attribute traffic exactly.
+/// Implementors should be cheap to call; the executors invoke
+/// [`InterOp::apply_row`] once per line, which calls [`InterOp::apply`]
+/// once per pixel. The kernel reports which channels it reads and writes
+/// so the memory-access accounting (Table 2) can attribute traffic
+/// exactly.
 pub trait InterOp {
     /// Short stable kernel name (used in reports and traces).
     fn name(&self) -> &'static str;
@@ -48,6 +53,22 @@ pub trait InterOp {
 
     /// Combines one pixel from frame A and one from frame B.
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel;
+
+    /// Computes one output line: `out[i]` is `a[i]` with the output
+    /// channels of `apply(a[i], b[i])` merged in. Stops at the shortest
+    /// of the three slices.
+    ///
+    /// Kernels do not override this: the default is compiled for each
+    /// implementing type, so a call through `&dyn InterOp` dispatches
+    /// once per line and `apply` inlines into the loop.
+    fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut [Pixel]) {
+        let channels = self.output_channels();
+        for ((slot, &pa), &pb) in out.iter_mut().zip(a).zip(b) {
+            let mut px = pa;
+            px.merge_channels(self.apply(pa, pb), channels);
+            *slot = px;
+        }
+    }
 }
 
 /// A kernel for intra addressing: one output pixel from the neighbourhood
@@ -68,6 +89,40 @@ pub trait IntraOp {
 
     /// Maps a gathered window to the output pixel.
     fn apply(&self, window: &Window) -> Pixel;
+
+    /// Computes line `y` of the output: `out[x]` is the input pixel at
+    /// `(x, y)` with the output channels of `apply` merged in, the window
+    /// gathered around `(x, y)` under `border`. `window` is scratch space
+    /// reused across lines; one of another shape is rebuilt first. Stops
+    /// at the shorter of `out` and the line.
+    ///
+    /// Kernels do not override this: the default is compiled for each
+    /// implementing type, so a call through `&dyn IntraOp` dispatches
+    /// once per line and `apply` inlines into the loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y` is not a line of `frame`.
+    fn apply_row(
+        &self,
+        frame: &Frame,
+        y: usize,
+        border: BorderPolicy,
+        window: &mut Window,
+        out: &mut [Pixel],
+    ) {
+        let shape = self.shape();
+        if window.shape() != shape {
+            *window = Window::from_samples(Point::ORIGIN, shape, std::iter::empty());
+        }
+        let channels = self.output_channels();
+        for (x, (slot, &centre)) in out.iter_mut().zip(frame.line(y)).enumerate() {
+            window.regather(frame, Point::new(x as i32, y as i32), border);
+            let mut px = centre;
+            px.merge_channels(self.apply(window), channels);
+            *slot = px;
+        }
+    }
 }
 
 impl<T: InterOp + ?Sized> InterOp for &T {
@@ -82,6 +137,9 @@ impl<T: InterOp + ?Sized> InterOp for &T {
     }
     fn apply(&self, a: Pixel, b: Pixel) -> Pixel {
         (**self).apply(a, b)
+    }
+    fn apply_row(&self, a: &[Pixel], b: &[Pixel], out: &mut [Pixel]) {
+        (**self).apply_row(a, b, out);
     }
 }
 
@@ -100,6 +158,16 @@ impl<T: IntraOp + ?Sized> IntraOp for &T {
     }
     fn apply(&self, window: &Window) -> Pixel {
         (**self).apply(window)
+    }
+    fn apply_row(
+        &self,
+        frame: &Frame,
+        y: usize,
+        border: BorderPolicy,
+        window: &mut Window,
+        out: &mut [Pixel],
+    ) {
+        (**self).apply_row(frame, y, border, window, out);
     }
 }
 
@@ -124,5 +192,29 @@ mod tests {
             o.name()
         }
         assert_eq!(takes_generic(op), "absdiff");
+    }
+
+    #[test]
+    fn apply_row_through_dyn_matches_the_executor_lines() {
+        let f = Frame::from_fn(crate::geometry::Dims::new(5, 4), |p| {
+            Pixel::from_luma((p.x * 40 + p.y * 7) as u8).with_aux(9)
+        });
+        let blurred = crate::addressing::intra::run_intra(&f, &BoxBlur::con8()).unwrap().output;
+        let op: &dyn IntraOp = &BoxBlur::con8();
+        // A window of another shape is rebuilt before use.
+        let mut window = Window::from_samples(Point::ORIGIN, Connectivity::Con0, std::iter::empty());
+        let mut out = [Pixel::default(); 5];
+        for y in 0..4 {
+            op.apply_row(&f, y, BorderPolicy::Clamp, &mut window, &mut out);
+            assert_eq!(out[..], *blurred.line(y), "line {y}");
+        }
+        assert_eq!(window.shape(), Connectivity::Con8);
+
+        let g = Frame::filled(f.dims(), Pixel::from_luma(100));
+        let diff: &dyn InterOp = &AbsDiff::luma();
+        diff.apply_row(f.line(1), g.line(1), &mut out);
+        for (o, a) in out.iter().zip(f.line(1)) {
+            assert_eq!(*o, a.with_luma(a.y.abs_diff(100)));
+        }
     }
 }

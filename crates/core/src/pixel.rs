@@ -187,9 +187,24 @@ impl Pixel {
     /// leaving the others untouched.
     ///
     /// This models an AddressLib call writing only its output channels.
+    /// Every executor calls it once per pixel, so it tests the mask bits
+    /// directly rather than iterating the set.
     pub fn merge_channels(&mut self, src: Pixel, set: ChannelSet) {
-        for channel in set.iter() {
-            self.set_channel(channel, src.channel(channel));
+        let bits = set.0;
+        if bits & Channel::Y.mask_bit() != 0 {
+            self.y = src.y;
+        }
+        if bits & Channel::U.mask_bit() != 0 {
+            self.u = src.u;
+        }
+        if bits & Channel::V.mask_bit() != 0 {
+            self.v = src.v;
+        }
+        if bits & Channel::Alpha.mask_bit() != 0 {
+            self.alpha = src.alpha;
+        }
+        if bits & Channel::Aux.mask_bit() != 0 {
+            self.aux = src.aux;
         }
     }
 }

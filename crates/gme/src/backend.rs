@@ -166,6 +166,10 @@ pub struct EngineBackend {
     engine: AddressEngine,
     pm_seconds: f64,
     cost_model: CostModel,
+    /// Pixels of the intra and inter calls issued; the engine's stats
+    /// count calls only.
+    intra_pixels: u64,
+    inter_pixels: u64,
 }
 
 impl EngineBackend {
@@ -179,6 +183,8 @@ impl EngineBackend {
             engine: AddressEngine::new(config)?,
             pm_seconds: 0.0,
             cost_model: CostModel::pentium_m_xm(),
+            intra_pixels: 0,
+            inter_pixels: 0,
         })
     }
 
@@ -212,6 +218,7 @@ impl GmeBackend for EngineBackend {
             Ok(run) => {
                 self.pm_seconds +=
                     software_call_seconds(&run.report.descriptor, frame.dims(), &self.cost_model);
+                self.intra_pixels += run.report.access_model.pixels;
                 Ok(run.output)
             }
             Err(EngineError::Core(e)) => Err(e),
@@ -227,6 +234,7 @@ impl GmeBackend for EngineBackend {
             Ok(run) => {
                 self.pm_seconds +=
                     software_call_seconds(&run.report.descriptor, a.dims(), &self.cost_model);
+                self.inter_pixels += run.report.access_model.pixels;
                 Ok(run.output)
             }
             Err(EngineError::Core(e)) => Err(e),
@@ -242,10 +250,8 @@ impl GmeBackend for EngineBackend {
         CallTally {
             intra: s.intra_calls,
             inter: s.inter_calls,
-            // The engine does not track per-class pixels; derive from
-            // hardware accesses (2 per pixel across all calls).
-            intra_pixels: 0,
-            inter_pixels: 0,
+            intra_pixels: self.intra_pixels,
+            inter_pixels: self.inter_pixels,
         }
     }
 
@@ -308,6 +314,7 @@ mod tests {
         b.inter(&f, &f, &AbsDiff::luma()).unwrap();
         let t = b.tally();
         assert_eq!((t.intra, t.inter), (1, 1));
+        assert_eq!((t.intra_pixels, t.inter_pixels), (384, 384));
         assert!(b.modelled_seconds() > 0.0);
         assert!(
             b.pm_modelled_seconds() > b.modelled_seconds(),

@@ -37,7 +37,6 @@
 
 use vip_core::error::{CoreError, CoreResult};
 use vip_core::frame::Frame;
-use vip_core::geometry::Point;
 use vip_core::ops::arith::AbsDiff;
 use vip_core::ops::filter::CentralGradient;
 use vip_core::ops::morph::AlphaMajority;
@@ -46,7 +45,7 @@ use vip_obs::{Recorder, Track};
 use crate::backend::GmeBackend;
 use crate::model::{solve_linear, Motion, MotionModel};
 use crate::pyramid::{level_scale, Pyramid};
-use crate::warp::{centre_of, sample_bilinear, warp_frame};
+use crate::warp::{centre_of, warp_frame_sampled};
 
 /// Estimator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,6 +219,9 @@ impl Estimator {
         let mut total_iters = 0usize;
         let mut last_residual = f64::INFINITY;
         let mut last_inliers = 0.0f64;
+        // The warp's bilinear samples, reused by the step accumulation
+        // and across iterations (sized by the finest level).
+        let mut samples = Vec::new();
 
         for li in (0..levels).rev() {
             let ref_level = ref_pyr.level(li);
@@ -232,17 +234,18 @@ impl Estimator {
 
             for _ in 0..self.config.max_iterations {
                 total_iters += 1;
-                // warp_frame(cur, motion): output(p) = cur(motion(p)) ≈ ref(p).
-                let warped = warp_frame(cur_level, &motion);
+                // warp(cur, motion): output(p) = cur(motion(p)) ≈ ref(p).
+                let warped = warp_frame_sampled(cur_level, &motion, &mut samples);
                 // AddressLib inter call: residual magnitude image — the
                 // convergence measure XM evaluates per iteration.
                 let residual_img = backend.inter(ref_level, &warped.frame, &AbsDiff::luma())?;
                 // AddressLib intra call: clean the inlier mask
                 // (majority vote removes speckle outliers).
-                let mask = backend.intra(&tag_inliers(&residual_img, &warped.frame,
-                    self.config.outlier_threshold), &AlphaMajority::new())?;
+                let inliers =
+                    tag_inliers(residual_img, &warped.frame, self.config.outlier_threshold);
+                let mask = backend.intra(&inliers, &AlphaMajority::new())?;
 
-                let step = self.accumulate_step(ref_level, cur_level, &grad, &mask, &motion);
+                let step = self.accumulate_step(ref_level, &grad, &mask, &samples, &motion);
                 let Some((delta, stats)) = step else { break };
                 last_residual = stats.mean_residual;
                 last_inliers = stats.inlier_fraction;
@@ -275,50 +278,56 @@ impl Estimator {
         })
     }
 
-    /// Accumulates one Gauss-Newton step. Returns `None` when the system
-    /// is singular or no inliers survive.
+    /// Accumulates one Gauss-Newton step from the warp's bilinear
+    /// `samples` of the current level (row-major, `None` where the warp
+    /// is invalid). Returns `None` when the system is singular or no
+    /// inliers survive.
     fn accumulate_step(
         &self,
         ref_level: &Frame,
-        cur_level: &Frame,
         grad: &Frame,
         mask: &Frame,
+        samples: &[Option<f64>],
         motion: &Motion,
     ) -> Option<(Vec<f64>, StepStats)> {
         let np = self.config.model.parameter_count();
-        let mut ata = vec![vec![0.0f64; np]; np];
-        let mut atb = vec![0.0f64; np];
+        let mut ata = [[0.0f64; 8]; 8];
+        let mut atb = [0.0f64; 8];
         let (cx, cy) = centre_of(ref_level.dims());
+        let width = ref_level.width();
+        // The gradient frame has the current level's dims.
+        let gx_max = grad.width().saturating_sub(1) as f64;
+        let gy_max = grad.height().saturating_sub(1) as f64;
         let mut n = 0usize;
         let mut considered = 0usize;
         let mut resid_sum = 0.0f64;
         let step = self.config.subsample;
 
-        let mut jac = vec![0.0f64; np];
+        let mut jac = [0.0f64; 8];
         for py in (1..ref_level.height().saturating_sub(1)).step_by(step) {
-            for px in (1..ref_level.width().saturating_sub(1)).step_by(step) {
-                let p = Point::new(px as i32, py as i32);
+            let ref_line = ref_level.line(py);
+            let mask_line = mask.line(py);
+            let sample_line = &samples[py * width..(py + 1) * width];
+            for px in (1..width.saturating_sub(1)).step_by(step) {
                 considered += 1;
-                if mask.get(p).alpha == 0 {
+                if mask_line[px].alpha == 0 {
                     continue;
                 }
                 let x = px as f64 - cx;
                 let y = py as f64 - cy;
                 let (wx, wy) = motion.apply(x, y);
-                let Some(cur_val) = sample_bilinear(cur_level, wx + cx, wy + cy) else {
+                let Some(cur_val) = sample_line[px] else {
                     continue;
                 };
-                let r = cur_val - f64::from(ref_level.get(p).y);
+                let r = cur_val - f64::from(ref_line[px].y);
                 if r.abs() > self.config.outlier_threshold {
                     continue;
                 }
                 // Gradient of the current level, sampled at the warped
                 // position (nearest sample of the backend gradient call).
-                let gp = Point::new(
-                    (wx + cx).round().clamp(0.0, (cur_level.width() - 1) as f64) as i32,
-                    (wy + cy).round().clamp(0.0, (cur_level.height() - 1) as f64) as i32,
-                );
-                let (gx, gy) = CentralGradient::decode(grad.get(gp));
+                let gxi = (wx + cx).round().clamp(0.0, gx_max) as usize;
+                let gyi = (wy + cy).round().clamp(0.0, gy_max) as usize;
+                let (gx, gy) = CentralGradient::decode(grad.line(gyi)[gxi]);
                 let (gx, gy) = (f64::from(gx), f64::from(gy));
 
                 fill_jacobian(&mut jac, self.config.model, x, y, wx, wy, gx, gy, motion);
@@ -344,7 +353,8 @@ impl Estimator {
             ata[i][i] *= 1.0 + 1e-4;
             ata[i][i] += 1e-9;
         }
-        let delta = solve_linear(&mut ata, &mut atb)?;
+        let mut a: Vec<Vec<f64>> = ata[..np].iter().map(|row| row[..np].to_vec()).collect();
+        let delta = solve_linear(&mut a, &mut atb[..np])?;
         Some((
             delta,
             StepStats {
@@ -388,13 +398,14 @@ impl StepStats {
 }
 
 /// Marks inliers (|residual| ≤ threshold on valid warp pixels) in the
-/// alpha channel for the majority-vote clean-up call.
-fn tag_inliers(residual: &Frame, warped: &Frame, threshold: f64) -> Frame {
-    Frame::from_fn(residual.dims(), |p| {
-        let valid = warped.get(p).alpha != 0;
-        let inlier = valid && f64::from(residual.get(p).y) <= threshold;
-        residual.get(p).with_alpha(u16::from(inlier))
-    })
+/// alpha channel of the residual image, for the majority-vote clean-up
+/// call.
+fn tag_inliers(mut residual: Frame, warped: &Frame, threshold: f64) -> Frame {
+    for (px, w) in residual.pixels_mut().iter_mut().zip(warped.pixels()) {
+        let inlier = w.alpha != 0 && f64::from(px.y) <= threshold;
+        px.alpha = u16::from(inlier);
+    }
+    residual
 }
 
 /// Writes the Jacobian row of the chosen model at centred point `(x, y)`
@@ -469,6 +480,7 @@ fn apply_delta(motion: &Motion, delta: &[f64], model: MotionModel) -> Motion {
 mod tests {
     use super::*;
     use crate::backend::SoftwareBackend;
+    use crate::warp::warp_frame;
     use vip_core::geometry::Dims;
     use vip_core::pixel::Pixel;
 

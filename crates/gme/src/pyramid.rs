@@ -23,7 +23,6 @@
 
 use vip_core::error::{CoreError, CoreResult};
 use vip_core::frame::Frame;
-use vip_core::geometry::Point;
 use vip_core::ops::filter::Binomial3;
 
 use crate::backend::GmeBackend;
@@ -100,7 +99,14 @@ impl Pyramid {
 #[must_use]
 pub fn decimate(frame: &Frame) -> Frame {
     let dims = frame.dims().halved();
-    Frame::from_fn(dims, |p| frame.get(Point::new(p.x * 2, p.y * 2)))
+    let mut out = Frame::new(dims);
+    for y in 0..dims.height {
+        let src = frame.line(2 * y).iter().step_by(2);
+        for (dst, px) in out.line_mut(y).iter_mut().zip(src) {
+            *dst = *px;
+        }
+    }
+    out
 }
 
 /// The scale factor between level `i` and level 0.
@@ -113,7 +119,7 @@ pub fn level_scale(i: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::backend::SoftwareBackend;
-    use vip_core::geometry::Dims;
+    use vip_core::geometry::{Dims, Point};
     use vip_core::pixel::Pixel;
 
     fn textured(dims: Dims) -> Frame {
@@ -172,6 +178,15 @@ mod tests {
         let d = decimate(&f);
         assert_eq!(d.dims(), Dims::new(4, 3));
         assert_eq!(d.get(Point::new(1, 1)).y, f.get(Point::new(2, 2)).y);
+        // Odd sides keep their last even column and line.
+        let odd = Frame::from_fn(Dims::new(9, 7), |p| {
+            Pixel::new(p.x as u8, p.y as u8, 3, p.x as u16 * 10, p.y as u16 * 10)
+        });
+        let d = decimate(&odd);
+        assert_eq!(d.dims(), Dims::new(5, 4));
+        for (p, px) in d.enumerate() {
+            assert_eq!(px, odd.get(Point::new(p.x * 2, p.y * 2)), "at {p}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! ```
 
 use vip_core::frame::Frame;
-use vip_core::geometry::{Dims, Point};
+use vip_core::geometry::Dims;
 use vip_core::pixel::Pixel;
 
 use crate::model::Motion;
@@ -59,17 +59,15 @@ pub fn sample_bilinear(frame: &Frame, x: f64, y: f64) -> Option<f64> {
     let y0 = y.floor();
     let tx = x - x0;
     let ty = y - y0;
-    let xi = x0 as i32;
-    let yi = y0 as i32;
-    let at = |dx: i32, dy: i32| -> f64 {
-        let p = Point::new(
-            (xi + dx).min(frame.width() as i32 - 1),
-            (yi + dy).min(frame.height() as i32 - 1),
-        );
-        f64::from(frame.get(p).y)
-    };
-    let a = at(0, 0) + (at(1, 0) - at(0, 0)) * tx;
-    let b = at(0, 1) + (at(1, 1) - at(0, 1)) * tx;
+    // In range, so the floors are valid indices; the +1 neighbours clamp
+    // to the last column and line.
+    let (xi, yi) = (x0 as usize, y0 as usize);
+    let xj = (xi + 1).min(frame.width() - 1);
+    let top = frame.line(yi);
+    let bottom = frame.line((yi + 1).min(frame.height() - 1));
+    let at = |line: &[Pixel], x: usize| f64::from(line[x].y);
+    let a = at(top, xi) + (at(top, xj) - at(top, xi)) * tx;
+    let b = at(bottom, xi) + (at(bottom, xj) - at(bottom, xi)) * tx;
     Some(a + (b - a) * ty)
 }
 
@@ -84,24 +82,43 @@ pub fn centre_of(dims: Dims) -> (f64, f64) {
 /// the source get `alpha = 0`; valid pixels get `alpha = 1`.
 #[must_use]
 pub fn warp_frame(src: &Frame, motion: &Motion) -> Warped {
-    let (cx, cy) = centre_of(src.dims());
+    warp_frame_sampled(src, motion, &mut Vec::new())
+}
+
+/// [`warp_frame`], also leaving in `samples` the unrounded bilinear
+/// sample behind every output pixel in row-major order (`None` where the
+/// warp is invalid). `samples` is cleared first, so one buffer serves
+/// every iteration of an estimate without reallocating.
+#[must_use]
+pub fn warp_frame_sampled(src: &Frame, motion: &Motion, samples: &mut Vec<Option<f64>>) -> Warped {
+    let dims = src.dims();
+    let (cx, cy) = centre_of(dims);
+    let mut frame = Frame::new(dims);
     let mut valid = 0usize;
-    let frame = Frame::from_fn(src.dims(), |p| {
-        let (mx, my) = motion.apply(p.x as f64 - cx, p.y as f64 - cy);
-        match sample_bilinear(src, mx + cx, my + cy) {
-            Some(y) => {
-                valid += 1;
-                Pixel::from_luma(y.round().clamp(0.0, 255.0) as u8).with_alpha(1)
-            }
-            None => Pixel::BLACK.with_alpha(0),
+    samples.clear();
+    samples.reserve(dims.pixel_count());
+    for y in 0..dims.height {
+        let yc = y as f64 - cy;
+        for (x, out) in frame.line_mut(y).iter_mut().enumerate() {
+            let (mx, my) = motion.apply(x as f64 - cx, yc);
+            let sample = sample_bilinear(src, mx + cx, my + cy);
+            samples.push(sample);
+            *out = match sample {
+                Some(v) => {
+                    valid += 1;
+                    Pixel::from_luma(v.round().clamp(0.0, 255.0) as u8).with_alpha(1)
+                }
+                None => Pixel::BLACK.with_alpha(0),
+            };
         }
-    });
+    }
     Warped { frame, valid }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vip_core::geometry::Point;
 
     fn ramp(dims: Dims) -> Frame {
         Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 10) as u8))
@@ -184,6 +201,31 @@ mod tests {
         }
         assert!(n > 100);
         assert!(err / n <= 1, "mean roundtrip error {}", err as f64 / n as f64);
+    }
+
+    #[test]
+    fn sampled_warp_keeps_the_samples_behind_the_frame() {
+        let f = Frame::from_fn(Dims::new(12, 9), |p| {
+            Pixel::from_luma(((p.x * 23 + p.y * 7) % 256) as u8)
+        });
+        let m = Motion::similarity(1.1, 0.05, 0.7, -0.4);
+        let mut samples = vec![Some(1.0); 3];
+        let w = warp_frame_sampled(&f, &m, &mut samples);
+        assert_eq!(w, warp_frame(&f, &m));
+        assert_eq!(samples.len(), f.pixel_count());
+        let (cx, cy) = centre_of(f.dims());
+        for ((p, px), sample) in w.frame.enumerate().zip(&samples) {
+            let (mx, my) = m.apply(p.x as f64 - cx, p.y as f64 - cy);
+            assert_eq!(*sample, sample_bilinear(&f, mx + cx, my + cy), "at {p}");
+            assert_eq!(px.alpha, u16::from(sample.is_some()), "at {p}");
+        }
+    }
+
+    #[test]
+    fn bilinear_clamps_the_last_column_and_line() {
+        let f = ramp(Dims::new(8, 8));
+        assert_eq!(sample_bilinear(&f, 7.0, 7.0), Some(70.0));
+        assert_eq!(sample_bilinear(&f, 6.5, 7.0), Some(65.0));
     }
 
     #[test]

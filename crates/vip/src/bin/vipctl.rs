@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! vipctl info
-//! vipctl render <singapore|dome|pisa|movie> --frames N --width W --height H --out clip.y4m
+//! vipctl render <singapore|dome|pisa|movie> [--frames N] [--size WxH] [--out clip.y4m]
 //! vipctl gme <sequence> [--frames N] [--size WxH] [--software] [--mosaic out.pgm]
 //! vipctl segment --tolerance T [--size WxH] [--out labels.pgm]
 //! vipctl trace <intra|inter|gme> [--size WxH] [--frames N] --out trace.json
@@ -20,6 +20,9 @@
 //! bank duty, the PCI/host/engine split of every call second, and the
 //! Amdahl decomposition reproducing the paper's ×30-bound-vs-×5-measured
 //! gap.
+//!
+//! A flag the subcommand does not accept is an error naming the accepted
+//! ones; errors print the message and the subcommand's usage line.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -43,35 +46,93 @@ use vip::video::TestSequence;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("vipctl: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage_hint(&args[0]));
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
-usage:
-  vipctl info
-  vipctl render <sequence> [--frames N] [--size WxH] [--out clip.y4m]
-  vipctl gme <sequence> [--frames N] [--size WxH] [--software] [--mosaic out.pgm]
-  vipctl segment [--tolerance T] [--size WxH] [--out labels.pgm]
-  vipctl trace <scenario> [--size WxH] [--frames N] [--out trace.json]
-  vipctl trace-diff <a.json> <b.json> [--threshold PCT]
-  vipctl stats <scenario> [--size WxH] [--frames N] [--format json]
-  vipctl report <scenario> [--size WxH] [--frames N] [--format json]
-  vipctl check [--root DIR]
-sequences: singapore | dome | pisa | movie
-scenarios: intra (CIF Sobel, detailed) | inter (CIF AbsDiff, detailed) | gme";
+/// Every subcommand: name, argument synopsis and the flags it accepts.
+const COMMANDS: &[(&str, &str, &[&str])] = &[
+    ("info", "", &[]),
+    (
+        "render",
+        "<sequence> [--frames N] [--size WxH] [--out clip.y4m]",
+        &["frames", "size", "out"],
+    ),
+    (
+        "gme",
+        "<sequence> [--frames N] [--size WxH] [--software] [--mosaic out.pgm]",
+        &["frames", "size", "software", "mosaic"],
+    ),
+    (
+        "segment",
+        "[--tolerance T] [--size WxH] [--out labels.pgm]",
+        &["tolerance", "size", "out"],
+    ),
+    (
+        "trace",
+        "<scenario> [--size WxH] [--frames N] [--out trace.json]",
+        &["size", "frames", "out"],
+    ),
+    ("trace-diff", "<a.json> <b.json> [--threshold PCT]", &["threshold"]),
+    (
+        "stats",
+        "<scenario> [--size WxH] [--frames N] [--format json]",
+        &["size", "frames", "format"],
+    ),
+    (
+        "report",
+        "<scenario> [--size WxH] [--frames N] [--format json]",
+        &["size", "frames", "format"],
+    ),
+    ("check", "[--root DIR]", &["root"]),
+];
+
+/// One `vipctl <command> <synopsis>` line.
+fn command_usage(name: &str, synopsis: &str) -> String {
+    format!("vipctl {name} {synopsis}").trim_end().to_string()
+}
+
+/// The full usage text, printed when no command is given.
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for (name, synopsis, _) in COMMANDS {
+        text += &format!("  {}\n", command_usage(name, synopsis));
+    }
+    text += "sequences: singapore | dome | pisa | movie\n";
+    text += "scenarios: intra (CIF Sobel, detailed) | inter (CIF AbsDiff, detailed) | gme";
+    text
+}
+
+/// The one-line hint printed after an error: the command's own usage, or
+/// the command list for an unknown command.
+fn usage_hint(cmd: &str) -> String {
+    match COMMANDS.iter().find(|(name, _, _)| *name == cmd) {
+        Some((name, synopsis, _)) => format!("usage: {}", command_usage(name, synopsis)),
+        None => {
+            let names: Vec<&str> = COMMANDS.iter().map(|(name, _, _)| *name).collect();
+            format!(
+                "commands: {} (run `vipctl` alone for the full usage)",
+                names.join(" | ")
+            )
+        }
+    }
+}
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let Some(cmd) = args.first() else {
         return Err("missing command".into());
     };
-    let flags = parse_flags(&args[1..]);
+    let flags = parse_flags(cmd, &args[1..])?;
     match cmd.as_str() {
         "info" => info(),
         "render" => render(args.get(1), &flags),
@@ -86,11 +147,28 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-fn parse_flags(rest: &[String]) -> HashMap<String, String> {
+/// Collects `--name value` pairs (a flag followed by another flag or by
+/// nothing reads as `true`), rejecting an unknown command and any flag
+/// `cmd` does not accept.
+fn parse_flags(cmd: &str, rest: &[String]) -> Result<HashMap<String, String>, String> {
+    let Some((_, _, accepted)) = COMMANDS.iter().find(|(name, _, _)| *name == cmd) else {
+        return Err(format!("unknown command `{cmd}`"));
+    };
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < rest.len() {
         if let Some(name) = rest[i].strip_prefix("--") {
+            if !accepted.contains(&name) {
+                let list: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+                let list = if list.is_empty() {
+                    "none".to_string()
+                } else {
+                    list.join(", ")
+                };
+                return Err(format!(
+                    "unknown flag --{name} for `{cmd}` (accepted: {list})"
+                ));
+            }
             let value = rest
                 .get(i + 1)
                 .filter(|v| !v.starts_with("--"))
@@ -103,7 +181,7 @@ fn parse_flags(rest: &[String]) -> HashMap<String, String> {
         }
         i += 1;
     }
-    flags
+    Ok(flags)
 }
 
 fn sequence_by_name(name: Option<&String>) -> Result<TestSequence, Box<dyn Error>> {
@@ -596,4 +674,57 @@ fn trace_diff(
     println!("trace diff: {a} → {b}");
     print!("{}", diff.text_table(threshold));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn accepted_flag_takes_its_value() {
+        let flags = parse_flags("gme", &args(&["dome", "--frames", "5", "--size", "88x72"])).unwrap();
+        assert_eq!(flags.get("frames").map(String::as_str), Some("5"));
+        assert_eq!(flags.get("size").map(String::as_str), Some("88x72"));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_with_the_accepted_list() {
+        let err = parse_flags("gme", &args(&["dome", "--frame", "5"])).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag --frame for `gme` (accepted: --frames, --size, --software, --mosaic)"
+        );
+        let err = parse_flags("info", &args(&["--size", "8x8"])).unwrap_err();
+        assert_eq!(err, "unknown flag --size for `info` (accepted: none)");
+        let err = parse_flags("gmee", &args(&["dome", "--frames", "5"])).unwrap_err();
+        assert_eq!(err, "unknown command `gmee`");
+    }
+
+    #[test]
+    fn valueless_flag_reads_as_true() {
+        let flags = parse_flags("gme", &args(&["dome", "--software", "--frames", "3"])).unwrap();
+        assert_eq!(flags.get("software").map(String::as_str), Some("true"));
+        assert_eq!(flags.get("frames").map(String::as_str), Some("3"));
+        let flags = parse_flags("gme", &args(&["dome", "--software"])).unwrap();
+        assert_eq!(flags.get("software").map(String::as_str), Some("true"));
+    }
+
+    #[test]
+    fn usage_hint_is_one_line() {
+        assert_eq!(
+            usage_hint("gme"),
+            "usage: vipctl gme <sequence> [--frames N] [--size WxH] [--software] [--mosaic out.pgm]"
+        );
+        assert_eq!(usage_hint("info"), "usage: vipctl info");
+        assert!(usage_hint("nope").starts_with("commands: info | render | gme"));
+        assert!(!usage_hint("nope").contains('\n'));
+        // The full usage lists every command.
+        for (name, _, _) in COMMANDS {
+            assert!(usage().contains(&format!("vipctl {name}")), "{name}");
+        }
+    }
 }

@@ -53,8 +53,7 @@ fn backends_agree_end_to_end() {
         assert_eq!(ra.relative, rb.relative, "frame {}", ra.index);
         assert_eq!(ra.absolute, rb.absolute);
     }
-    assert_eq!(a.tally.intra, b.tally.intra);
-    assert_eq!(a.tally.inter, b.tally.inter);
+    assert_eq!(a.tally, b.tally);
     assert!(b.backend_seconds > 0.0, "engine accumulates modelled time");
 }
 
