@@ -45,8 +45,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::fast::{run_inter_fast, run_intra_fast};
 use crate::process_unit::PuProbe;
 use crate::report::{record_into, stats_from_registry, EngineReport, EngineStats};
-use crate::timing::{inter_timeline, intra_timeline, segment_timeline};
-use crate::trace::{emit_trace, seconds_to_ns, trace_of};
+use crate::timing::{inter_timeline, intra_timeline, seconds_to_ns, segment_timeline};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// One completed engine call: the produced frame plus its report.
@@ -204,7 +203,7 @@ impl AddressEngine {
                     ("hardware_accesses", report.hardware_accesses.into()),
                 ],
             );
-            emit_trace(&self.recorder, t0, &trace_of(&report.timeline));
+            crate::trace::emit_schedule_instants(&self.recorder, t0, &report.timeline);
             if let Some(s) = schedule {
                 s.emit(&self.recorder, t0, self.config.pci_clock.hz);
             }
@@ -650,6 +649,46 @@ mod tests {
         assert!(!recording.on_track(Track::ZbtBank(4)).is_empty());
         // The virtual clock advanced past the call.
         assert!(e.clock_ns() > 0);
+    }
+
+    #[test]
+    fn schedule_instants_follow_the_timeline() {
+        let mut e = AddressEngine::new(EngineConfig::prototype()).unwrap();
+        let session = vip_obs::Session::new();
+        e.set_recorder(session.recorder());
+        let f = frame(Dims::new(64, 48));
+        let intra = e.run_intra(&f, &BoxBlur::con8()).unwrap().report.timeline;
+        let t1 = e.clock_ns();
+        let inter = e.run_inter(&f, &f, &AbsDiff::luma()).unwrap().report;
+        let recording = session.finish();
+        let instants: Vec<_> = recording
+            .on_track(vip_obs::Track::Engine)
+            .into_iter()
+            .filter(|r| r.phase == vip_obs::Phase::Instant)
+            .collect();
+        assert_eq!(instants.len(), 14);
+        for (call, t0, timeline) in [
+            (&instants[..7], 0, intra),
+            (&instants[7..], t1, inter.timeline),
+        ] {
+            assert!(call.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+            let names: std::collections::BTreeSet<_> = call.iter().map(|r| r.name).collect();
+            assert_eq!(names.len(), 7, "{names:?}");
+            let at = |name: &str| call.iter().find(|r| r.name == name).unwrap().ts_ns - t0;
+            assert_eq!(call[0].name, "call_issued");
+            assert_eq!(call[0].ts_ns, t0);
+            assert_eq!(call[6].name, "call_completed");
+            for (name, seconds) in [
+                ("call_completed", timeline.total),
+                ("input_dma_completed", timeline.input_end),
+                ("output_dma_started", timeline.output_start),
+                ("processing_completed", timeline.drain_end),
+            ] {
+                assert_eq!(at(name), seconds_to_ns(seconds), "{name}");
+            }
+            assert!(at("input_dma_started") <= at("input_dma_completed"));
+            assert!(at("output_dma_completed") <= at("call_completed"));
+        }
     }
 
     #[test]

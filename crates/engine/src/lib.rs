@@ -67,7 +67,7 @@ pub mod reconfig;
 pub mod report;
 pub mod resource;
 pub mod timing;
-pub mod trace;
+mod trace;
 pub mod zbt;
 
 pub use clock::{ClockDomain, Cycles};

@@ -236,6 +236,12 @@ pub fn segment_timeline(dims: Dims, segment_pixels: u64, config: &EngineConfig) 
     }
 }
 
+/// Converts schedule seconds to virtual-clock nanoseconds (rounded).
+#[must_use]
+pub fn seconds_to_ns(seconds: f64) -> u64 {
+    (seconds * 1e9).round().max(0.0) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

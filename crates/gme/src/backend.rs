@@ -13,12 +13,24 @@ use core::fmt;
 use vip_core::accounting::CallDescriptor;
 use vip_core::error::CoreResult;
 use vip_core::frame::Frame;
+use vip_core::geometry::Dims;
 use vip_core::ops::{InterOp, IntraOp};
 use vip_engine::engine::AddressEngine;
 use vip_engine::error::EngineError;
 use vip_engine::EngineConfig;
 use vip_profiling::instr::CostModel;
 use vip_profiling::profile::software_call_seconds;
+
+/// The paper's software platform: a Pentium-M 1.6 GHz running the generic
+/// XM AddressLib.
+const PM: CostModel = CostModel::pentium_m_xm();
+
+/// Pentium-M seconds of one call, priced at the frame's real size. This is
+/// the only place a call's "Time in PM" is decided; every software time or
+/// speedup the repo prints reads the sum a backend keeps of it.
+fn pm_seconds(descriptor: &CallDescriptor, dims: Dims) -> f64 {
+    software_call_seconds(descriptor, dims, &PM)
+}
 
 /// Call counters per addressing class — the Table 3 columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,33 +101,17 @@ pub trait GmeBackend {
 pub struct SoftwareBackend {
     tally: CallTally,
     pm_seconds: f64,
-    cost_model: CostModel,
 }
 
 impl SoftwareBackend {
-    /// Creates a fresh software backend with the Pentium-M/XM cost
-    /// model of the paper's Table 3.
+    /// Creates a fresh software backend, priced with the Pentium-M/XM
+    /// cost model of the paper's Table 3.
     #[must_use]
     pub fn new() -> Self {
         SoftwareBackend {
             tally: CallTally::default(),
             pm_seconds: 0.0,
-            cost_model: CostModel::pentium_m_xm(),
         }
-    }
-
-    /// A software backend with a custom cost model (ablations).
-    #[must_use]
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
-        SoftwareBackend {
-            tally: CallTally::default(),
-            pm_seconds: 0.0,
-            cost_model,
-        }
-    }
-
-    fn price(&mut self, descriptor: &CallDescriptor, dims: vip_core::geometry::Dims) {
-        self.pm_seconds += software_call_seconds(descriptor, dims, &self.cost_model);
     }
 }
 
@@ -130,7 +126,7 @@ impl GmeBackend for SoftwareBackend {
         let r = vip_core::addressing::intra::run_intra(frame, &op)?;
         self.tally.intra += 1;
         self.tally.intra_pixels += r.report.pixels_processed;
-        self.price(&r.report.descriptor, frame.dims());
+        self.pm_seconds += pm_seconds(&r.report.descriptor, frame.dims());
         Ok(r.output)
     }
 
@@ -138,7 +134,7 @@ impl GmeBackend for SoftwareBackend {
         let r = vip_core::addressing::inter::run_inter(a, b, &op)?;
         self.tally.inter += 1;
         self.tally.inter_pixels += r.report.pixels_processed;
-        self.price(&r.report.descriptor, a.dims());
+        self.pm_seconds += pm_seconds(&r.report.descriptor, a.dims());
         Ok(r.output)
     }
 
@@ -165,7 +161,6 @@ impl GmeBackend for SoftwareBackend {
 pub struct EngineBackend {
     engine: AddressEngine,
     pm_seconds: f64,
-    cost_model: CostModel,
     /// Pixels of the intra and inter calls issued; the engine's stats
     /// count calls only.
     intra_pixels: u64,
@@ -182,7 +177,6 @@ impl EngineBackend {
         Ok(EngineBackend {
             engine: AddressEngine::new(config)?,
             pm_seconds: 0.0,
-            cost_model: CostModel::pentium_m_xm(),
             intra_pixels: 0,
             inter_pixels: 0,
         })
@@ -216,8 +210,7 @@ impl GmeBackend for EngineBackend {
     fn intra(&mut self, frame: &Frame, op: &dyn IntraOp) -> CoreResult<Frame> {
         match self.engine.run_intra(frame, &op) {
             Ok(run) => {
-                self.pm_seconds +=
-                    software_call_seconds(&run.report.descriptor, frame.dims(), &self.cost_model);
+                self.pm_seconds += pm_seconds(&run.report.descriptor, frame.dims());
                 self.intra_pixels += run.report.access_model.pixels;
                 Ok(run.output)
             }
@@ -232,8 +225,7 @@ impl GmeBackend for EngineBackend {
     fn inter(&mut self, a: &Frame, b: &Frame, op: &dyn InterOp) -> CoreResult<Frame> {
         match self.engine.run_inter(a, b, &op) {
             Ok(run) => {
-                self.pm_seconds +=
-                    software_call_seconds(&run.report.descriptor, a.dims(), &self.cost_model);
+                self.pm_seconds += pm_seconds(&run.report.descriptor, a.dims());
                 self.inter_pixels += run.report.access_model.pixels;
                 Ok(run.output)
             }
@@ -279,7 +271,6 @@ fn engine_reason(err: &EngineError) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vip_core::geometry::Dims;
     use vip_core::ops::arith::AbsDiff;
     use vip_core::ops::filter::BoxBlur;
     use vip_core::pixel::Pixel;

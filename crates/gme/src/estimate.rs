@@ -40,6 +40,7 @@ use vip_core::frame::Frame;
 use vip_core::ops::arith::AbsDiff;
 use vip_core::ops::filter::CentralGradient;
 use vip_core::ops::morph::AlphaMajority;
+use vip_engine::timing::seconds_to_ns;
 use vip_obs::{Recorder, Track};
 
 use crate::backend::GmeBackend;
@@ -369,7 +370,7 @@ impl Estimator {
 /// timebase of the GME track (spans inherit the backend's timing model,
 /// so engine-backed runs line up with the engine's own trace windows).
 pub(crate) fn modelled_ns(backend: &dyn GmeBackend) -> u64 {
-    (backend.modelled_seconds() * 1e9).round().max(0.0) as u64
+    seconds_to_ns(backend.modelled_seconds())
 }
 
 /// Per-step statistics.

@@ -18,8 +18,8 @@
 //! prints the engine metrics registry; `report` adds the cycle
 //! attribution: per-track utilization, process-unit stall causes, ZBT
 //! bank duty, the PCI/host/engine split of every call second, and the
-//! Amdahl decomposition reproducing the paper's ×30-bound-vs-×5-measured
-//! gap.
+//! Amdahl decomposition relating the paper's ×30 bound to the speedup
+//! measured on the same calls Table 3 prices.
 //!
 //! A flag the subcommand does not accept is an error naming the accepted
 //! ones; errors print the message and the subcommand's usage line.
@@ -28,18 +28,16 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::process::ExitCode;
 
-use vip::core::accounting::CallDescriptor;
 use vip::core::addressing::labeling::label_all_segments;
 use vip::core::addressing::segment::SegmentOptions;
 use vip::core::geometry::Dims;
-use vip::core::neighborhood::Connectivity;
 use vip::core::ops::segment_ops::HomogeneityCriterion;
 use vip::core::frame::Frame;
 use vip::core::ops::arith::AbsDiff;
 use vip::core::ops::filter::SobelGradient;
-use vip::core::pixel::{ChannelSet, Pixel};
+use vip::core::pixel::Pixel;
 use vip::engine::report::keys;
-use vip::engine::{AddressEngine, EngineConfig, Recording, Registry, ResourceEstimate, Session};
+use vip::engine::{EngineConfig, Recording, Registry, ResourceEstimate, Session};
 use vip::gme::{EngineBackend, GmeBackend, GmeConfig, SequenceRunner, SoftwareBackend};
 use vip::video::io::{write_pgm, Y4mWriter};
 use vip::video::TestSequence;
@@ -341,51 +339,50 @@ fn segment(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Runs an observability scenario with a recorder attached and returns
-/// the finished recording, the engine's metrics registry, and the frame
-/// dimensions the scenario processed.
+/// Runs an observability scenario on a recorded detailed-fidelity engine
+/// backend and returns the finished recording, the engine's metrics
+/// registry, the frame dimensions the scenario processed and the
+/// Pentium-M seconds the backend priced for the same calls.
 fn run_scenario(
     name: Option<&String>,
     flags: &HashMap<String, String>,
-) -> Result<(Recording, Registry, Dims), Box<dyn Error>> {
+) -> Result<(Recording, Registry, Dims, f64), Box<dyn Error>> {
     let session = Session::new();
-    match name.map(String::as_str) {
+    // Detailed fidelity so the report's stall buckets and ZBT bank duty
+    // reflect simulated cycles, not just the schedule.
+    let mut backend = EngineBackend::new(EngineConfig::prototype_detailed())?;
+    backend.engine_mut().set_recorder(session.recorder());
+    let dims = match name.map(String::as_str) {
         Some(kind @ ("intra" | "inter")) => {
             let dims = parse_size(flags, Dims::new(352, 288))?;
-            let mut engine = AddressEngine::new(EngineConfig::prototype_detailed())?;
-            engine.set_recorder(session.recorder());
             let frame = Frame::from_fn(dims, |p| {
                 Pixel::from_luma(((p.x * 7 + p.y * 13) % 256) as u8)
             });
             if kind == "intra" {
-                engine.run_intra(&frame, &SobelGradient::new())?;
+                backend.intra(&frame, &SobelGradient::new())?;
             } else {
                 let shifted = Frame::from_fn(dims, |p| {
                     Pixel::from_luma(((p.x * 7 + p.y * 13 + 31) % 256) as u8)
                 });
-                engine.run_inter(&frame, &shifted, &AbsDiff::luma())?;
+                backend.inter(&frame, &shifted, &AbsDiff::luma())?;
             }
-            let registry = engine.metrics().clone();
-            Ok((session.finish(), registry, dims))
+            dims
         }
         Some("gme") => {
             let seq = scaled(&TestSequence::singapore(), flags)?;
-            let dims = seq.dims();
-            // Detailed fidelity so the report's stall buckets and ZBT
-            // bank duty reflect simulated cycles, not just the schedule.
-            let mut backend = EngineBackend::new(EngineConfig::prototype_detailed())?;
-            backend.engine_mut().set_recorder(session.recorder());
             let runner =
                 SequenceRunner::new(GmeConfig::default()).with_recorder(session.recorder());
             runner.run(seq.frames(), &mut backend)?;
-            let registry = backend.engine().metrics().clone();
-            Ok((session.finish(), registry, dims))
+            seq.dims()
         }
         Some(other) if !other.starts_with("--") => {
-            Err(format!("unknown scenario `{other}` (expected intra | inter | gme)").into())
+            return Err(format!("unknown scenario `{other}` (expected intra | inter | gme)").into())
         }
-        _ => Err("missing scenario (intra | inter | gme)".into()),
-    }
+        _ => return Err("missing scenario (intra | inter | gme)".into()),
+    };
+    let registry = backend.engine().metrics().clone();
+    let pm_seconds = backend.pm_modelled_seconds();
+    Ok((session.finish(), registry, dims, pm_seconds))
 }
 
 /// Parses the `--format` flag: plain text by default, `json` on request.
@@ -430,7 +427,7 @@ fn check(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn trace(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let (recording, _, _) = run_scenario(name, flags)?;
+    let (recording, ..) = run_scenario(name, flags)?;
     let out = flags.get("out").cloned().unwrap_or_else(|| "trace.json".to_string());
     std::fs::write(&out, recording.to_chrome_json())?;
     let tracks: Vec<&str> = recording.tracks().iter().map(|t| t.name()).collect();
@@ -445,7 +442,7 @@ fn trace(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), B
 }
 
 fn stats(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let (recording, registry, _) = run_scenario(name, flags)?;
+    let (recording, registry, ..) = run_scenario(name, flags)?;
     if json_format(flags)? {
         let mut w = vip::obs::json::JsonWriter::new();
         w.begin_object();
@@ -480,32 +477,24 @@ fn pct(part: f64, whole: f64) -> f64 {
     }
 }
 
-/// The modelled software seconds of the calls a scenario issued — the
-/// "Time in PM" side of the Table 3 comparison, reconstructed from the
-/// per-mode call counters.
-fn modelled_software_seconds(registry: &Registry, dims: Dims) -> f64 {
-    let model = vip::profiling::CostModel::pentium_m_xm();
-    let intra = CallDescriptor::intra(Connectivity::Con8, ChannelSet::Y, ChannelSet::Y);
-    let inter = CallDescriptor::inter(ChannelSet::Y, ChannelSet::Y);
-    let segment = CallDescriptor::segment(
-        Connectivity::Con4,
-        ChannelSet::Y,
-        ChannelSet::ALPHA.union(ChannelSet::AUX),
-    );
-    registry.counter(keys::INTRA_CALLS) as f64
-        * vip::profiling::software_call_seconds(&intra, dims, &model)
-        + registry.counter(keys::INTER_CALLS) as f64
-            * vip::profiling::software_call_seconds(&inter, dims, &model)
-        + registry.counter(keys::SEGMENT_CALLS) as f64
-            * vip::profiling::software_call_seconds(&segment, dims, &model)
+/// The measured coprocessor-side speedup of a scenario: the Pentium-M
+/// seconds its backend priced over the engine seconds the same calls
+/// took, 0 when the engine did no work.
+fn coprocessor_speedup(software_s: f64, registry: &Registry) -> f64 {
+    let engine_s = registry.gauge(keys::BUSY_SECONDS);
+    if engine_s > 0.0 {
+        software_s / engine_s
+    } else {
+        0.0
+    }
 }
 
 /// `vipctl report` — the cycle-attribution view of one scenario: where
 /// every engine second and every process-unit cycle went, plus the
 /// Amdahl decomposition that connects the measurement to the paper's
-/// ×30 bound and ×5 end-to-end observation.
+/// ×30 bound (§1) and its ≈ ×5 end-to-end observation (§5).
 fn report(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let (recording, registry, dims) = run_scenario(name, flags)?;
+    let (recording, registry, dims, software_s) = run_scenario(name, flags)?;
     let attrib = vip::obs::Attribution::of(&recording);
 
     // Process-unit cycle buckets — a mutually exclusive partition.
@@ -538,8 +527,7 @@ fn report(name: Option<&String>, flags: &HashMap<String, String>) -> Result<(), 
     let mix = vip::profiling::segmentation_workload(Dims::new(352, 288));
     let prof = vip::profiling::profile::profile(&mix, &model);
     let ideal = vip::profiling::amdahl::ideal_speedup(prof.offloadable_fraction);
-    let software_s = modelled_software_seconds(&registry, dims);
-    let coproc = if total_s > 0.0 { software_s / total_s } else { 0.0 };
+    let coproc = coprocessor_speedup(software_s, &registry);
     let overall = vip::profiling::amdahl::amdahl(prof.offloadable_fraction, coproc);
 
     if json_format(flags)? {
@@ -726,5 +714,25 @@ mod tests {
         for (name, _, _) in COMMANDS {
             assert!(usage().contains(&format!("vipctl {name}")), "{name}");
         }
+    }
+
+    #[test]
+    fn report_speedup_matches_table3_on_the_same_run() {
+        let flags = parse_flags("report", &args(&["gme", "--size", "88x72", "--frames", "4"]));
+        let (_, registry, dims, software_s) =
+            run_scenario(Some(&"gme".to_string()), &flags.unwrap()).unwrap();
+        assert_eq!(dims, Dims::new(88, 72));
+
+        let seq = TestSequence::singapore().scaled(88, 72, 4);
+        let mut backend = EngineBackend::prototype();
+        let table3 = SequenceRunner::new(GmeConfig::default())
+            .run(seq.frames(), &mut backend)
+            .unwrap();
+        assert!(table3.backend_seconds > 0.0);
+        assert_eq!(software_s, table3.pm_seconds);
+        assert_eq!(
+            coprocessor_speedup(software_s, &registry),
+            table3.pm_seconds / table3.backend_seconds
+        );
     }
 }

@@ -21,7 +21,7 @@ use vip::core::geometry::Dims;
 use vip::engine::dma::{schedule_inter_call, schedule_intra_call};
 use vip::engine::process_unit::PuProbe;
 use vip::engine::report::zbt_bank_key;
-use vip::engine::trace::seconds_to_ns;
+use vip::engine::timing::seconds_to_ns;
 use vip::engine::{
     AddressEngine, EngineConfig, EngineError, InterOverlap, Recorder, Session, TraceRecord, Track,
 };
