@@ -23,7 +23,6 @@ use crate::error::{CoreError, CoreResult};
 use crate::frame::Frame;
 use crate::ops::InterOp;
 use crate::pixel::Pixel;
-use crate::scan::ScanOrder;
 
 /// Result of an inter call: the output frame plus the execution report.
 #[derive(Debug, Clone)]
@@ -35,34 +34,13 @@ pub struct InterResult {
     pub report: CallReport,
 }
 
-/// Runs an inter-addressing call over two frames with the default
-/// row-major scan.
+/// Runs an inter-addressing call over two frames, row by row.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::DimsMismatch`] when the frames differ in size and
 /// [`CoreError::EmptyFrame`] when they have zero area.
 pub fn run_inter(a: &Frame, b: &Frame, op: &impl InterOp) -> CoreResult<InterResult> {
-    run_inter_scanned(a, b, op, ScanOrder::RowMajor)
-}
-
-/// Runs an inter-addressing call with an explicit scan order.
-///
-/// Inter kernels are pointwise, so the scan order changes neither the
-/// software result nor the access counters: the software sweep always
-/// runs row by row. The order describes the access pattern the engine
-/// simulator's strip transfer mirrors.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimsMismatch`] when the frames differ in size and
-/// [`CoreError::EmptyFrame`] when they have zero area.
-pub fn run_inter_scanned(
-    a: &Frame,
-    b: &Frame,
-    op: &impl InterOp,
-    _scan: ScanOrder,
-) -> CoreResult<InterResult> {
     let dims = a.dims();
     if dims != b.dims() {
         return Err(CoreError::DimsMismatch {
@@ -107,7 +85,7 @@ pub fn run_inter_scanned(
 mod tests {
     use super::*;
     use crate::geometry::{Dims, Point};
-    use crate::ops::arith::{AbsDiff, Add, ChangeMask, Sub};
+    use crate::ops::arith::{AbsDiff, Add, ChangeMask};
     use crate::pixel::{ChannelSet, Pixel};
 
     fn frames() -> (Frame, Frame) {
@@ -171,16 +149,6 @@ mod tests {
             run_inter(&a, &a, &Add::luma()),
             Err(CoreError::EmptyFrame)
         ));
-    }
-
-    #[test]
-    fn scan_order_does_not_change_result() {
-        let (a, b) = frames();
-        let base = run_inter(&a, &b, &Sub::yuv()).unwrap().output;
-        for order in ScanOrder::ALL {
-            let r = run_inter_scanned(&a, &b, &Sub::yuv(), order).unwrap();
-            assert_eq!(r.output, base, "{order}");
-        }
     }
 
     #[test]

@@ -26,17 +26,10 @@ use crate::geometry::Point;
 use crate::neighborhood::Window;
 use crate::ops::IntraOp;
 use crate::pixel::Pixel;
-use crate::scan::ScanOrder;
 
 /// Options of an intra call beyond the kernel itself.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntraOptions {
-    /// Scan order of the sweep (default row-major). Intra kernels read
-    /// only the input frame, so the software result and access counters
-    /// do not depend on it: the software sweep always runs row by row.
-    /// The order describes the access pattern the engine's strip
-    /// transfer mirrors.
-    pub scan: ScanOrder,
     /// Border policy for window samples outside the frame (default clamp,
     /// matching the IIM's edge-line replication).
     pub border: BorderPolicy,
@@ -61,8 +54,7 @@ pub fn run_intra(frame: &Frame, op: &impl IntraOp) -> CoreResult<IntraResult> {
     run_intra_with(frame, op, IntraOptions::default())
 }
 
-/// Runs an intra-addressing call with explicit scan order and border
-/// policy.
+/// Runs an intra-addressing call with an explicit border policy.
 ///
 /// # Errors
 ///
@@ -112,7 +104,7 @@ mod tests {
     use super::*;
     use crate::geometry::{Dims, Point};
     use crate::neighborhood::Connectivity;
-    use crate::ops::filter::{Binomial3, BoxBlur, Identity, SobelGradient};
+    use crate::ops::filter::{BoxBlur, Identity, SobelGradient};
     use crate::ops::morph::{Dilate, Erode, MorphGradient};
     use crate::pixel::{ChannelSet, Pixel};
 
@@ -166,23 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_order_invariance() {
-        // Intra kernels read only the input frame, so results are
-        // scan-order independent (the engine relies on this to choose its
-        // strip orientation freely).
-        let f = spot();
-        let base = run_intra(&f, &Binomial3::new()).unwrap().output;
-        for order in ScanOrder::ALL {
-            let opts = IntraOptions {
-                scan: order,
-                ..IntraOptions::default()
-            };
-            let r = run_intra_with(&f, &Binomial3::new(), opts).unwrap();
-            assert_eq!(r.output, base, "{order}");
-        }
-    }
-
-    #[test]
     fn border_policy_changes_edges_only() {
         let f = spot();
         let clamp = run_intra_with(
@@ -190,7 +165,6 @@ mod tests {
             &BoxBlur::con8(),
             IntraOptions {
                 border: BorderPolicy::Clamp,
-                ..Default::default()
             },
         )
         .unwrap()
@@ -200,7 +174,6 @@ mod tests {
             &BoxBlur::con8(),
             IntraOptions {
                 border: BorderPolicy::Constant(Pixel::from_luma(255)),
-                ..Default::default()
             },
         )
         .unwrap()

@@ -9,76 +9,17 @@
 //! # Examples
 //!
 //! ```
-//! use vip_engine::clock::{ClockDomain, Cycles};
+//! use vip_engine::clock::ClockDomain;
 //!
 //! let pci = ClockDomain::pci_66();
-//! let t = pci.duration_of(Cycles(66_000_000));
-//! assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
+//! assert_eq!(pci.hz * 4.0, 264e6); // 32-bit words: 264 MB/s (§4.1)
 //! ```
 
 use core::fmt;
-use core::iter::Sum;
-use core::ops::{Add, AddAssign, Sub};
-use std::time::Duration;
 
 /// A cycle count within one clock domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cycles(pub u64);
-
-impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-
-    /// The raw count.
-    #[must_use]
-    pub const fn count(self) -> u64 {
-        self.0
-    }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub const fn saturating_sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The larger of two counts.
-    #[must_use]
-    pub fn max(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.max(rhs.0))
-    }
-}
-
-impl Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for Cycles {
-    type Output = Cycles;
-    fn sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 - rhs.0)
-    }
-}
-
-impl Sum for Cycles {
-    fn sum<I: Iterator<Item = Cycles>>(iter: I) -> Cycles {
-        Cycles(iter.map(|c| c.0).sum())
-    }
-}
-
-impl fmt::Display for Cycles {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cyc", self.0)
-    }
-}
 
 /// A clock domain with a fixed frequency.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,24 +64,6 @@ impl ClockDomain {
     pub const fn new(name: &'static str, hz: f64) -> Self {
         ClockDomain { hz, name }
     }
-
-    /// Wall-clock duration of `cycles` in this domain.
-    #[must_use]
-    pub fn duration_of(&self, cycles: Cycles) -> Duration {
-        Duration::from_secs_f64(cycles.0 as f64 / self.hz)
-    }
-
-    /// Number of whole cycles elapsed in `duration`.
-    #[must_use]
-    pub fn cycles_in(&self, duration: Duration) -> Cycles {
-        Cycles((duration.as_secs_f64() * self.hz).round() as u64)
-    }
-
-    /// Clock period.
-    #[must_use]
-    pub fn period(&self) -> Duration {
-        Duration::from_secs_f64(1.0 / self.hz)
-    }
 }
 
 impl fmt::Display for ClockDomain {
@@ -152,21 +75,6 @@ impl fmt::Display for ClockDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cycles_arithmetic() {
-        let a = Cycles(10);
-        let b = Cycles(4);
-        assert_eq!(a + b, Cycles(14));
-        assert_eq!(a - b, Cycles(6));
-        assert_eq!(b.saturating_sub(a), Cycles::ZERO);
-        assert_eq!(a.max(b), a);
-        let mut c = a;
-        c += b;
-        assert_eq!(c.count(), 14);
-        let total: Cycles = [a, b, Cycles(1)].into_iter().sum();
-        assert_eq!(total, Cycles(15));
-    }
 
     #[test]
     fn pci_clock_frequency() {
@@ -183,21 +91,10 @@ mod tests {
         let fmax = ClockDomain::engine_fmax();
         let period_ns = 1e9 / fmax.hz;
         assert!((period_ns - 9.784).abs() < 0.01, "{period_ns}");
-        // Duration-based period rounds to nanosecond resolution.
-        assert_eq!(fmax.period().as_nanos(), 10);
-    }
-
-    #[test]
-    fn duration_roundtrip() {
-        let d = ClockDomain::new("test", 100e6);
-        let t = d.duration_of(Cycles(250));
-        assert_eq!(d.cycles_in(t), Cycles(250));
-        assert!((t.as_secs_f64() - 2.5e-6).abs() < 1e-15);
     }
 
     #[test]
     fn displays() {
-        assert_eq!(Cycles(7).to_string(), "7 cyc");
         assert!(ClockDomain::pci_66().to_string().contains("66.000 MHz"));
     }
 }

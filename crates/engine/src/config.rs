@@ -14,7 +14,7 @@ pub enum SimulationFidelity {
     Detailed,
     /// Analytic cycle counts derived from the same architectural
     /// parameters, validated against [`SimulationFidelity::Detailed`] on
-    /// small frames (see the `analytic_matches_detailed` tests). Use for
+    /// small frames (see `crates/engine/tests/analytic_vs_detailed.rs`). Use for
     /// CIF-scale workloads like the Table 3 runs, where cycle-stepping
     /// thousands of calls would be needlessly slow.
     #[default]

@@ -33,19 +33,20 @@ use vip_core::addressing::intra::IntraOptions;
 use vip_core::addressing::segment::{SegmentOptions, SegmentResult};
 use vip_core::border::BorderPolicy;
 use vip_core::frame::Frame;
-use vip_core::geometry::Point;
+use vip_core::geometry::{Dims, Point};
 use vip_core::ops::segment_ops::NeighborCriterion;
 use vip_core::ops::{InterOp, IntraOp};
 use vip_core::pixel::ChannelSet;
 use vip_obs::{Recorder, Registry, Track};
 
-use crate::config::{EngineConfig, InterOverlap, SimulationFidelity};
-use crate::dma::{schedule_inter_call, schedule_intra_call, DmaSchedule};
+use crate::config::{EngineConfig, SimulationFidelity};
 use crate::error::{EngineError, EngineResult};
 use crate::fast::{run_inter_fast, run_intra_fast};
 use crate::process_unit::PuProbe;
 use crate::report::{record_into, stats_from_registry, EngineReport, EngineStats};
-use crate::timing::{inter_timeline, intra_timeline, seconds_to_ns, segment_timeline};
+use crate::timing::{
+    inter_timeline, intra_timeline, processing_start, seconds_to_ns, segment_timeline,
+};
 use crate::zbt::{ZbtMemory, ZbtRegion};
 
 /// One completed engine call: the produced frame plus its report.
@@ -167,20 +168,12 @@ impl AddressEngine {
         )
     }
 
-    /// Seconds from call issue until the given PCI cycle count.
-    fn pci_seconds(&self, cycles: crate::clock::Cycles) -> f64 {
-        cycles.count() as f64 / self.config.pci_clock.hz
-    }
-
     /// Folds the report into the metrics registry, publishes the
     /// call-level trace (schedule instants, PCI/DMA spans, ZBT bank
     /// activity), and advances the virtual clock past the call.
-    fn finish_call(
-        &mut self,
-        name: &'static str,
-        report: &EngineReport,
-        schedule: Option<&DmaSchedule>,
-    ) {
+    /// `strip_dims` is the frame size of a strip-transferred call; segment
+    /// calls pass `None` and emit no transfer spans.
+    fn finish_call(&mut self, name: &'static str, report: &EngineReport, strip_dims: Option<Dims>) {
         record_into(&mut self.metrics, report);
         if report.processing.is_some() {
             // Detailed runs reset the bank counters first, so they hold
@@ -204,8 +197,14 @@ impl AddressEngine {
                 ],
             );
             crate::trace::emit_schedule_instants(&self.recorder, t0, &report.timeline);
-            if let Some(s) = schedule {
-                s.emit(&self.recorder, t0, self.config.pci_clock.hz);
+            if let Some(dims) = strip_dims {
+                crate::trace::emit_transfer_spans(
+                    &self.recorder,
+                    t0,
+                    &report.timeline,
+                    dims,
+                    &self.config,
+                );
             }
             if report.processing.is_some() {
                 self.emit_zbt_spans(t0, report);
@@ -256,7 +255,7 @@ impl AddressEngine {
         Ok(())
     }
 
-    fn unload_result(&mut self, dims: vip_core::geometry::Dims) -> EngineResult<Frame> {
+    fn unload_result(&mut self, dims: Dims) -> EngineResult<Frame> {
         let total = dims.pixel_count();
         let pixels = self.zbt.read_result_run(0, total, total)?;
         Ok(Frame::from_pixels(dims, pixels)?)
@@ -300,22 +299,11 @@ impl AddressEngine {
                 capability: "non-clamp border policies in the detailed datapath",
             });
         }
-        // The strip schedule doubles as the trace's PCI/DMA span source
-        // and the processing-phase time origin; only built when recording.
-        let schedule = self
-            .recorder
-            .is_enabled()
-            .then(|| schedule_intra_call(frame.dims(), &self.config));
         let (output, hardware_accesses, processing) = match self.config.fidelity {
             SimulationFidelity::Detailed => {
                 self.load_region(ZbtRegion::InputA, frame)?;
                 self.zbt.reset_stats();
-                // Processing starts once the first strip has landed.
-                let probe = self.pu_probe(
-                    schedule
-                        .as_ref()
-                        .map_or(0.0, |s| self.pci_seconds(s.input_strips[0].transfer.end())),
-                );
+                let probe = self.pu_probe(processing_start(&timeline, frame.dims(), &self.config));
                 let stats = run_intra_fast(
                     &mut self.zbt,
                     frame.dims(),
@@ -332,10 +320,7 @@ impl AddressEngine {
                 let result = vip_core::addressing::intra::run_intra_with(
                     frame,
                     op,
-                    IntraOptions {
-                        border,
-                        ..IntraOptions::default()
-                    },
+                    IntraOptions { border },
                 )?;
                 (result.output, access_model.hardware_accesses, None)
             }
@@ -348,7 +333,7 @@ impl AddressEngine {
             hardware_accesses,
             processing,
         };
-        self.finish_call("intra_call", &report, schedule.as_ref());
+        self.finish_call("intra_call", &report, Some(frame.dims()));
         Ok(EngineRun { output, report })
     }
 
@@ -375,25 +360,12 @@ impl AddressEngine {
         let timeline = inter_timeline(a.dims(), &self.config);
         let access_model = AccessModel::for_call(&descriptor, a.dims());
 
-        let schedule = self
-            .recorder
-            .is_enabled()
-            .then(|| schedule_inter_call(a.dims(), &self.config));
         let (output, hardware_accesses, processing) = match self.config.fidelity {
             SimulationFidelity::Detailed => {
                 self.load_region(ZbtRegion::InputA, a)?;
                 self.load_region(ZbtRegion::InputB, b)?;
                 self.zbt.reset_stats();
-                // Sequential inter processing waits for both images;
-                // interleaved tracks the input strips (see dma.rs).
-                let probe = self.pu_probe(schedule.as_ref().map_or(0.0, |s| {
-                    match self.config.inter_overlap {
-                        InterOverlap::Sequential => self.pci_seconds(s.input_end),
-                        InterOverlap::Interleaved => {
-                            self.pci_seconds(s.input_strips[1].transfer.end())
-                        }
-                    }
-                }));
+                let probe = self.pu_probe(processing_start(&timeline, a.dims(), &self.config));
                 let stats = run_inter_fast(
                     &mut self.zbt,
                     a.dims(),
@@ -418,7 +390,7 @@ impl AddressEngine {
             hardware_accesses,
             processing,
         };
-        self.finish_call("inter_call", &report, schedule.as_ref());
+        self.finish_call("inter_call", &report, Some(a.dims()));
         Ok(EngineRun { output, report })
     }
 
@@ -475,7 +447,7 @@ impl AddressEngine {
 
     /// The fig. 3 memory map of the engine's ZBT for a given frame size.
     #[must_use]
-    pub fn memory_map(&self, dims: vip_core::geometry::Dims) -> crate::zbt::MemoryMap {
+    pub fn memory_map(&self, dims: Dims) -> crate::zbt::MemoryMap {
         self.zbt.memory_map(dims, self.config.strip_lines)
     }
 

@@ -179,15 +179,8 @@ pub fn run_intra_fast<O: IntraOp>(
     // up-front pass leaves the per-bank counters exactly as the stepped
     // interleaving would.
     let input = Frame::from_pixels(dims, zbt.read_input_run(ZbtRegion::InputA, 0, total)?)?;
-    let outs = vip_core::addressing::intra::run_intra_with(
-        &input,
-        op,
-        IntraOptions {
-            border,
-            ..IntraOptions::default()
-        },
-    )?
-    .output;
+    let outs =
+        vip_core::addressing::intra::run_intra_with(&input, op, IntraOptions { border })?.output;
     let out_pixels = outs.pixels();
 
     // O(1) IIM mirror: lines load strictly in scan order and evict FIFO,

@@ -7,8 +7,6 @@
 //!
 //! * [`zbt`] — the six-bank on-board ZBT SRAM with the fig. 3 memory
 //!   distribution (paired input banks, sequential result banks),
-//! * [`pci`] — the 66 MHz × 32-bit PCI/DMA model (264 MB/s, the system
-//!   bottleneck),
 //! * [`iim`] / [`oim`] — the input/output intermediate memories
 //!   (16 line blocks × 2 BRAM banks, single-cycle neighbourhood fetch),
 //! * [`matrix`] — the matrix register with LOAD/SHIFT instructions,
@@ -19,8 +17,10 @@
 //! * [`fast`] — the event-driven datapath every detailed call runs
 //!   (bit-identical statistics and probe events, a fraction of the
 //!   simulated work),
-//! * [`timing`] — the analytic image-level schedule (validated against
-//!   the cycle-stepped path),
+//! * [`timing`] — the image-level call schedule: the 66 MHz × 32-bit
+//!   PCI/DMA transfers (264 MB/s, the system bottleneck) overlapped with
+//!   processing, in closed form (validated against the cycle-stepped
+//!   path),
 //! * [`resource`] — the calibrated Table 1 device-utilisation model,
 //! * [`engine`] — the host-facing coprocessor facade.
 //!
@@ -53,14 +53,12 @@
 
 pub mod clock;
 pub mod config;
-pub mod dma;
 pub mod engine;
 pub mod error;
 pub mod fast;
 pub mod iim;
 pub mod matrix;
 pub mod oim;
-pub mod pci;
 pub mod plc;
 pub mod process_unit;
 pub mod reconfig;

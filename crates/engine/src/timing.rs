@@ -106,6 +106,11 @@ impl fmt::Display for CallTimeline {
 /// Bytes per 64-bit pixel on the bus.
 const BYTES_PER_PIXEL: f64 = 8.0;
 
+/// Seconds one 64-bit pixel occupies the PCI bus, in either direction.
+pub(crate) fn pci_seconds_per_pixel(config: &EngineConfig) -> f64 {
+    BYTES_PER_PIXEL / config.pci_bandwidth()
+}
+
 /// Computes the timeline of an intra call over a `dims` frame with a
 /// neighbourhood of the given radius.
 #[must_use]
@@ -115,9 +120,9 @@ pub fn intra_timeline(dims: Dims, radius: usize, config: &EngineConfig) -> CallT
     let f_e = config.engine_clock.hz;
     let t_irq = config.interrupt_overhead_cycles as f64 / config.pci_clock.hz;
 
-    let r_in = BYTES_PER_PIXEL / config.pci_bandwidth(); // seconds per arriving pixel
+    let r_in = pci_seconds_per_pixel(config); // seconds per arriving pixel
     let r_drain = config.oim_drain_cycles_per_pixel as f64 / f_e;
-    let r_out = BYTES_PER_PIXEL / config.pci_bandwidth();
+    let r_out = pci_seconds_per_pixel(config);
 
     let input_pci = n * r_in;
     let input_end = t_irq + input_pci;
@@ -160,9 +165,9 @@ pub fn inter_timeline(dims: Dims, config: &EngineConfig) -> CallTimeline {
     let f_e = config.engine_clock.hz;
     let t_irq = config.interrupt_overhead_cycles as f64 / config.pci_clock.hz;
 
-    let r_in = BYTES_PER_PIXEL / config.pci_bandwidth();
+    let r_in = pci_seconds_per_pixel(config);
     let r_drain = config.oim_drain_cycles_per_pixel as f64 / f_e;
-    let r_out = BYTES_PER_PIXEL / config.pci_bandwidth();
+    let r_out = pci_seconds_per_pixel(config);
 
     let input_pci = 2.0 * n * r_in; // two input images
     let input_end = t_irq + input_pci;
@@ -209,8 +214,8 @@ pub fn segment_timeline(dims: Dims, segment_pixels: u64, config: &EngineConfig) 
     let f_e = config.engine_clock.hz;
     let t_irq = config.interrupt_overhead_cycles as f64 / config.pci_clock.hz;
 
-    let r_in = BYTES_PER_PIXEL / config.pci_bandwidth();
-    let r_out = BYTES_PER_PIXEL / config.pci_bandwidth();
+    let r_in = pci_seconds_per_pixel(config);
+    let r_out = pci_seconds_per_pixel(config);
     // Segment expansion is data dependent: no strip overlap; each segment
     // pixel costs the drain rate plus one expansion-test cycle per
     // neighbour (4-connected ⇒ 4 candidate tests amortised to 2 extra
@@ -234,6 +239,22 @@ pub fn segment_timeline(dims: Dims, segment_pixels: u64, config: &EngineConfig) 
         output_start,
         total: output_start + output_pci + t_irq,
     }
+}
+
+/// Seconds from call issue at which the Process Unit starts the call
+/// `timeline` schedules over `dims` frames: once the first strip has
+/// landed for intra, once the first strip pair has landed for interleaved
+/// inter, and once every input is resident otherwise (sequential inter
+/// waits for both images, segment calls for the whole frame).
+#[must_use]
+pub fn processing_start(timeline: &CallTimeline, dims: Dims, config: &EngineConfig) -> f64 {
+    let first_strip = dims.width * config.strip_lines.min(dims.height);
+    let landed = match (timeline.mode, config.inter_overlap) {
+        (AddressingMode::Intra, _) => first_strip,
+        (AddressingMode::Inter, InterOverlap::Interleaved) => 2 * first_strip,
+        _ => return timeline.input_end,
+    };
+    timeline.interrupt_overhead / 2.0 + landed as f64 * pci_seconds_per_pixel(config)
 }
 
 /// Converts schedule seconds to virtual-clock nanoseconds (rounded).
@@ -306,6 +327,49 @@ mod tests {
         for t in [intra_timeline(CIF, 1, &cfg()), inter_timeline(CIF, &cfg())] {
             assert!(t.pci_utilisation() > 0.85, "{} {}", t.mode, t.pci_utilisation());
         }
+    }
+
+    #[test]
+    fn utilisation_high_for_intra_lower_for_sequential_inter() {
+        let intra = intra_timeline(CIF, 1, &cfg()).pci_utilisation();
+        let inter = inter_timeline(CIF, &cfg()).pci_utilisation();
+        assert!(intra > 0.97, "intra util {intra}");
+        assert!(inter > 0.85 && inter < intra, "inter util {inter}");
+    }
+
+    #[test]
+    fn cif_image_transfer_time() {
+        // 811 008 B / 4 B per cycle = 202 752 cycles ≈ 3.07 ms at 66 MHz.
+        let t = ImageFormat::Cif.dims().pixel_count() as f64 * pci_seconds_per_pixel(&cfg());
+        assert!((t * 66e6 - 202_752.0).abs() < 1e-6, "{t}");
+        assert_eq!(intra_timeline(CIF, 1, &cfg()).input_pci, t);
+    }
+
+    #[test]
+    fn efficiency_scales_transfer_time() {
+        let mut c = cfg();
+        let full = pci_seconds_per_pixel(&c);
+        c.pci_efficiency = 0.5;
+        assert_eq!(pci_seconds_per_pixel(&c), 2.0 * full);
+    }
+
+    #[test]
+    fn processing_starts_on_the_first_strip_or_pair() {
+        let mut c = cfg();
+        c.interrupt_overhead_cycles = 2_000;
+        let irq = 2_000.0 / c.pci_clock.hz;
+        let strip = 352.0 * 16.0 * pci_seconds_per_pixel(&c);
+        let intra = intra_timeline(CIF, 1, &c);
+        assert!((processing_start(&intra, CIF, &c) - (irq + strip)).abs() < 1e-12);
+        let seq = inter_timeline(CIF, &c);
+        assert_eq!(processing_start(&seq, CIF, &c), seq.input_end);
+        c.inter_overlap = InterOverlap::Interleaved;
+        let ilv = inter_timeline(CIF, &c);
+        assert!((processing_start(&ilv, CIF, &c) - (irq + 2.0 * strip)).abs() < 1e-12);
+        // A frame shorter than one strip lands whole.
+        let short = Dims::new(8, 5);
+        let t = intra_timeline(short, 1, &c);
+        assert_eq!(processing_start(&t, short, &c), t.input_end);
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! measured on the same calls Table 3 prices.
 //!
 //! A flag the subcommand does not accept is an error naming the accepted
-//! ones; errors print the message and the subcommand's usage line.
+//! ones; errors print the message and the subcommand's usage line. A
+//! failed `check` verdict exits 1 with its report and no usage line.
 
 use std::collections::HashMap;
 use std::error::Error;
+use std::fmt;
 use std::process::ExitCode;
 
 use vip::core::addressing::labeling::label_all_segments;
@@ -51,10 +53,32 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("vipctl: {e}");
-            eprintln!("{}", usage_hint(&args[0]));
+            eprintln!("{}", error_report(&args[0], e.as_ref()));
             ExitCode::FAILURE
         }
+    }
+}
+
+/// A failed verdict on what a command checked, as opposed to a misuse of
+/// the command: it fails the run but earns no usage line.
+#[derive(Debug)]
+struct Verdict(String);
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Error for Verdict {}
+
+/// What `main` prints for an error of command `cmd`: the message, then
+/// the command's usage line unless the error is a [`Verdict`].
+fn error_report(cmd: &str, e: &(dyn Error + 'static)) -> String {
+    if e.is::<Verdict>() {
+        format!("vipctl: {e}")
+    } else {
+        format!("vipctl: {e}\n{}", usage_hint(cmd))
     }
 }
 
@@ -422,7 +446,10 @@ fn check(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!("{} invariant violation(s)", report.violations.len()).into())
+        Err(Box::new(Verdict(format!(
+            "{} invariant violation(s)",
+            report.violations.len()
+        ))))
     }
 }
 
@@ -714,6 +741,21 @@ mod tests {
         for (name, _, _) in COMMANDS {
             assert!(usage().contains(&format!("vipctl {name}")), "{name}");
         }
+    }
+
+    #[test]
+    fn only_argument_errors_print_the_usage_line() {
+        let verdict = Verdict("2 invariant violation(s)".to_string());
+        assert_eq!(
+            error_report("check", &verdict),
+            "vipctl: 2 invariant violation(s)"
+        );
+        let err = run(&args(&["check", "--rot", "."])).unwrap_err();
+        assert_eq!(
+            error_report("check", err.as_ref()),
+            "vipctl: unknown flag --rot for `check` (accepted: --root)\n\
+             usage: vipctl check [--root DIR]"
+        );
     }
 
     #[test]

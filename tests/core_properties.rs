@@ -9,7 +9,7 @@ use std::collections::HashSet;
 
 use vip::core::accounting::CallDescriptor;
 use vip::core::addressing::inter::run_inter;
-use vip::core::addressing::intra::{run_intra, run_intra_with, IntraOptions};
+use vip::core::addressing::intra::run_intra;
 use vip::core::addressing::labeling::label_all_segments;
 use vip::core::addressing::segment::{run_segment, SegmentOptions};
 use vip::core::border::BorderPolicy;
@@ -258,23 +258,6 @@ fn box_blur_preserves_mean_bounds() {
         assert!(stats_out.max <= stats_in.max, "{ctx}");
         // Smoothing never increases variance beyond input (allow rounding).
         assert!(stats_out.variance <= stats_in.variance + 1.0, "{ctx}");
-    });
-}
-
-#[test]
-fn intra_scan_order_invariant() {
-    check(13, |g, ctx| {
-        let f = g.frame();
-        let base = run_intra(&f, &BoxBlur::con8()).expect("valid");
-        for order in ScanOrder::ALL {
-            let options = IntraOptions {
-                scan: order,
-                ..Default::default()
-            };
-            let r = run_intra_with(&f, &BoxBlur::con8(), options).expect("valid");
-            assert_eq!(r.output, base.output, "{ctx}: {order}");
-            assert_eq!(r.report.counter, base.report.counter, "{ctx}: {order}");
-        }
     });
 }
 

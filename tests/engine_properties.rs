@@ -1,6 +1,6 @@
 //! Seeded property sweeps of the engine substrate invariants: ZBT, IIM,
-//! OIM, matrix register, PCI bus, analytic timing and the detailed
-//! datapath against the software AddressLib.
+//! OIM, matrix register, the call schedule and its recorded transfers,
+//! and the detailed datapath against the software AddressLib.
 //!
 //! Each property runs [`CASES`] cases drawn from its own
 //! [`XorShift64`] seed. A failure names the property's seed and the case
@@ -11,16 +11,15 @@ use vip::core::border::BorderPolicy;
 use vip::core::frame::Frame;
 use vip::core::geometry::{Dims, Point};
 use vip::core::neighborhood::{Connectivity, Window};
+use vip::core::ops::arith::AbsDiff;
 use vip::core::ops::filter::BoxBlur;
 use vip::core::pixel::Pixel;
-use vip::engine::clock::Cycles;
 use vip::engine::iim::Iim;
 use vip::engine::matrix::MatrixRegister;
 use vip::engine::oim::Oim;
-use vip::engine::pci::{Direction, PciBus};
 use vip::engine::timing::{inter_timeline, intra_timeline};
 use vip::engine::zbt::{ZbtMemory, ZbtRegion};
-use vip::engine::{AddressEngine, EngineConfig};
+use vip::engine::{AddressEngine, EngineConfig, InterOverlap, Phase, Session, TraceRecord, Track};
 use vip::video::rng::XorShift64;
 
 /// Cases per property.
@@ -148,25 +147,112 @@ fn matrix_shift_equals_load() {
     });
 }
 
+/// Each PCI/DMA span's (start, end) in nanoseconds, in emission order.
+fn spans(events: &[TraceRecord], name: &str) -> Vec<(u64, u64)> {
+    events
+        .iter()
+        .filter(|e| e.name == name)
+        .map(|e| (e.ts_ns, e.end_ns()))
+        .collect()
+}
+
+#[test]
+fn transfer_spans_sit_on_schedule_instants() {
+    let (mut short, mut ragged) = (0, 0);
+    check(106, |g, ctx| {
+        let mut config = EngineConfig::prototype();
+        config.interrupt_overhead_cycles = [0, 2_000][g.range(0, 2)];
+        config.pci_efficiency = [1.0, 0.8][g.range(0, 2)];
+        config.output_latency_fraction = [0.0, 0.125, 0.25, 0.5][g.range(0, 4)];
+        config.inter_overlap = [InterOverlap::Sequential, InterOverlap::Interleaved][g.range(0, 2)];
+        let dims = Dims::new(g.range(1, 40), g.range(1, 48));
+        short += usize::from(dims.height < config.strip_lines);
+        ragged += usize::from(!dims.height.is_multiple_of(config.strip_lines));
+        let frame = Frame::from_fn(dims, |p| Pixel::from_luma((p.x * 3 + p.y) as u8));
+        for inter in [false, true] {
+            let ctx = format!("{ctx} {dims} inter={inter} {:?}", config.inter_overlap);
+            let mut engine = AddressEngine::new(config.clone()).unwrap();
+            let session = Session::new();
+            engine.set_recorder(session.recorder());
+            if inter {
+                engine.run_inter(&frame, &frame, &AbsDiff::luma()).unwrap();
+            } else {
+                engine.run_intra(&frame, &BoxBlur::con8()).unwrap();
+            }
+            let events = session.finish().events;
+            let instant = |name: &str| {
+                let e = events
+                    .iter()
+                    .find(|e| e.name == name && e.phase == Phase::Instant)
+                    .unwrap_or_else(|| panic!("{ctx}: no {name}"));
+                assert_eq!(e.track, Track::Engine, "{ctx}: {name}");
+                e.ts_ns
+            };
+            let input = (instant("input_dma_started"), instant("input_dma_completed"));
+            let output = (
+                instant("output_dma_started"),
+                instant("output_dma_completed"),
+            );
+            assert_eq!(spans(&events, "input_dma"), [input], "{ctx}");
+            assert_eq!(spans(&events, "output_dma"), [output], "{ctx}");
+
+            let strips = spans(&events, "strip_in");
+            let images = if inter { 2 } else { 1 };
+            assert_eq!(
+                strips.len(),
+                images * dims.height.div_ceil(config.strip_lines),
+                "{ctx}"
+            );
+            assert_eq!(strips[0].0, input.0, "{ctx}: first strip");
+            assert_eq!(strips[strips.len() - 1].1, input.1, "{ctx}: last strip");
+            assert!(
+                strips.windows(2).all(|w| w[0].1 == w[1].0),
+                "{ctx}: {strips:?}"
+            );
+
+            let halves = spans(&events, "result_out");
+            assert_eq!(halves.len(), 2, "{ctx}");
+            assert_eq!((halves[0].0, halves[1].1), output, "{ctx}: halves");
+            assert_eq!(halves[0].1, halves[1].0, "{ctx}: one bank switch");
+        }
+    });
+    assert!(short > 0 && ragged > 0, "short {short} ragged {ragged}");
+}
+
 #[test]
 fn pci_transfers_never_overlap() {
-    check(106, |g, ctx| {
-        let n = g.range(1, 20);
-        let mut pci = PciBus::new(&EngineConfig::prototype());
-        for i in 0..n {
-            let dir = if i % 2 == 0 {
-                Direction::HostToBoard
+    // The bus carries one transfer at a time: across a run of calls, the
+    // strips in and result halves out on the PCI track never overlap.
+    check(108, |g, ctx| {
+        let mut config = EngineConfig::prototype();
+        config.interrupt_overhead_cycles = [0, 2_000][g.range(0, 2)];
+        config.output_latency_fraction = [0.0, 0.25, 0.5][g.range(0, 3)];
+        config.inter_overlap = [InterOverlap::Sequential, InterOverlap::Interleaved][g.range(0, 2)];
+        let mut engine = AddressEngine::new(config).unwrap();
+        let session = Session::new();
+        engine.set_recorder(session.recorder());
+        let calls = g.range(1, 4);
+        for _ in 0..calls {
+            let dims = g.dims();
+            let frame = Frame::from_fn(dims, |p| Pixel::from_luma((p.x + 5 * p.y) as u8));
+            if g.range(0, 2) == 0 {
+                engine.run_intra(&frame, &BoxBlur::con8()).unwrap();
             } else {
-                Direction::BoardToHost
-            };
-            pci.schedule(dir, g.range(1, 10_000), Cycles(i as u64 * 7));
+                engine.run_inter(&frame, &frame, &AbsDiff::luma()).unwrap();
+            }
         }
-        let ts = pci.transfers();
-        for w in ts.windows(2) {
-            assert!(w[1].start >= w[0].end(), "{ctx}: overlap {w:?}");
+        let mut transfers: Vec<_> = session
+            .finish()
+            .events
+            .iter()
+            .filter(|e| e.track == Track::Pci)
+            .map(|e| (e.ts_ns, e.end_ns()))
+            .collect();
+        assert!(transfers.len() >= 2 * calls, "{ctx}: {transfers:?}");
+        transfers.sort_unstable();
+        for w in transfers.windows(2) {
+            assert!(w[1].0 >= w[0].1, "{ctx}: overlap {w:?}");
         }
-        let payload: u64 = ts.iter().map(|t| t.cycles.count()).sum();
-        assert!(pci.busy_until().count() >= payload, "{ctx}");
     });
 }
 

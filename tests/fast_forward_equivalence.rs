@@ -18,10 +18,9 @@ mod reference;
 
 use reference::{random_case, reference, second_frame, test_frame, Call};
 use vip::core::geometry::Dims;
-use vip::engine::dma::{schedule_inter_call, schedule_intra_call};
 use vip::engine::process_unit::PuProbe;
 use vip::engine::report::zbt_bank_key;
-use vip::engine::timing::seconds_to_ns;
+use vip::engine::timing::{inter_timeline, intra_timeline, processing_start, seconds_to_ns};
 use vip::engine::{
     AddressEngine, EngineConfig, EngineError, InterOverlap, Recorder, Session, TraceRecord, Track,
 };
@@ -172,22 +171,14 @@ fn recorded_pair(
         "{context}: recording changes the registry"
     );
 
-    let start = match call {
-        Call::Intra(frame, _) => schedule_intra_call(frame.dims(), config).input_strips[0]
-            .transfer
-            .end(),
-        Call::Inter(a, _) => {
-            let s = schedule_inter_call(a.dims(), config);
-            match config.inter_overlap {
-                InterOverlap::Sequential => s.input_end,
-                InterOverlap::Interleaved => s.input_strips[1].transfer.end(),
-            }
-        }
+    let (timeline, dims) = match call {
+        Call::Intra(frame, radius) => (intra_timeline(frame.dims(), radius, config), frame.dims()),
+        Call::Inter(a, _) => (inter_timeline(a.dims(), config), a.dims()),
     };
     let reference_session = Session::new();
     let probe = PuProbe::new(
         reference_session.recorder(),
-        seconds_to_ns(start.count() as f64 / config.pci_clock.hz),
+        seconds_to_ns(processing_start(&timeline, dims, config)),
         1e9 / config.engine_clock.hz,
     );
     let stepped = reference(config, call, trace_limit, &probe);
